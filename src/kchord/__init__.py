@@ -23,6 +23,7 @@ from .counting import (
     count_exact_short,
     count_zero_short,
     mean_short_chords,
+    short_chord_row,
     total_diagrams,
 )
 from .diagrams import (
@@ -50,7 +51,14 @@ from .memory_game import (
     torus_board,
 )
 from .series import BivariateSeries, C_series, F_series, L_series, T_series, triple_count
-from .tables import CountTable, d_table_kp1, d_table_kp2, fuss_catalan, noncrossing_table
+from .tables import (
+    CountTable,
+    d_table_kp1,
+    d_table_kp2,
+    fuss_catalan,
+    noncrossing_row,
+    noncrossing_table,
+)
 
 __version__ = "0.1.0"
 
@@ -88,11 +96,13 @@ __all__ = [
     "mean_short_chords",
     "nc_mean_report",
     "nc_mean_variance",
+    "noncrossing_row",
     "noncrossing_table",
     "path_board",
     "poisson_convergence_report",
     "poisson_lambda",
     "sample_placements",
+    "short_chord_row",
     "stats",
     "survey",
     "survey_parallel",

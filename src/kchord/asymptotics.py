@@ -3,8 +3,9 @@
 Short chords and components are asymptotically Poisson; the number of
 short chords in a uniform *non-crossing* diagram is asymptotically
 normal.  Everything exact stays exact: Poisson masses involve e^(-lam),
-which is handled as a rational interval with outward rounding so that
+which is handled as a dyadic interval with outward rounding so that
 "the distance decreased" is a rigorous verdict, not a float one.
+The reports compute only the rows at the requested n.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from typing import Sequence
 from . import counting, tables
 
 TAIL_TOLERANCE = Fraction(1, 10**12)
+# Bits of the dyadic fixed point in which total-variation bounds are summed.
+PRECISION_BITS = 256
 
 
 def poisson_lambda(k: int, n: int) -> Fraction:
@@ -74,62 +77,53 @@ def _exp_neg_interval(lam: Fraction) -> tuple[Fraction, Fraction]:
         prev = partial
 
 
-def _poisson_mass_interval(
-    lam: Fraction, exp_lo: Fraction, exp_hi: Fraction, j: int
-) -> tuple[Fraction, Fraction]:
-    w = lam**j / factorial(j)
-    return w * exp_lo, w * exp_hi
-
-
 def tv_distance_interval(
     row: Sequence[int], lam: Fraction, tail_tolerance: Fraction = TAIL_TOLERANCE
 ) -> tuple[Fraction, Fraction]:
     """Certified bounds on the total-variation distance between the
     normalized histogram ``row`` and Poisson(lam).
 
-    The Poisson support is cut at the first point where the certified
-    tail mass drops below ``tail_tolerance``; both tails enter the
-    distance, so the bounds cover the full supports.
+    The Poisson support is cut at the first point past the row where the
+    certified tail mass drops below ``tail_tolerance``; both tails enter
+    the distance, so the bounds cover the full supports.  All masses are
+    integers scaled by 2^PRECISION_BITS and rounded outward (floor for a
+    lower bound, ceiling for an upper one), so the returned fractions
+    have denominator dividing 2^(PRECISION_BITS+1).
     """
     total = sum(row)
     if total <= 0:
         raise ValueError("empty distribution")
+    one = 1 << PRECISION_BITS
     exp_lo, exp_hi = _exp_neg_interval(lam)
-    masses: list[tuple[Fraction, Fraction]] = []
-    sum_lo = Fraction(0)
+    e_lo = exp_lo.numerator * one // exp_lo.denominator
+    e_hi = -(-exp_hi.numerator * one // exp_hi.denominator)
+    tail_bound = tail_tolerance * one
+    a, b = lam.numerator, lam.denominator
+    w_lo = w_hi = one  # bounds on lam^j / j!, scaled
+    sum_lo = sum_hi = 0
+    dist_lo = dist_hi = 0
     j = 0
     while True:
-        lo, hi = _poisson_mass_interval(lam, exp_lo, exp_hi, j)
-        masses.append((lo, hi))
-        sum_lo += lo
-        tail_upper = 1 - sum_lo
-        if j >= len(row) - 1 and j >= lam and tail_upper < tail_tolerance:
+        q_lo = w_lo * e_lo // one
+        q_hi = -(-w_hi * e_hi // one)
+        sum_lo += q_lo
+        sum_hi += q_hi
+        count = row[j] if j < len(row) else 0
+        p_lo = count * one // total
+        p_hi = -(-count * one // total)
+        dist_lo += max(0, p_lo - q_hi, q_lo - p_hi)
+        dist_hi += max(q_hi - p_lo, p_hi - q_lo)
+        # The cut lies past the row, so only the Poisson side has a tail.
+        tail_hi = one - sum_lo
+        if j >= len(row) - 1 and j >= lam and tail_hi < tail_bound:
             break
         j += 1
         if j > 10_000:
             raise ArithmeticError("Poisson tail failed to shrink")
-    cut = len(masses)
-    q_tail_hi = 1 - sum_lo
-    q_tail_lo = max(Fraction(0), 1 - sum(hi for _, hi in masses))
-    p_head = sum(row[: min(cut, len(row))])
-    p_tail = Fraction(total - p_head, total)
-
-    dist_lo = Fraction(0)
-    dist_hi = Fraction(0)
-    for idx in range(cut):
-        p = Fraction(row[idx], total) if idx < len(row) else Fraction(0)
-        q_lo, q_hi = masses[idx]
-        if p >= q_hi:
-            dist_lo += p - q_hi
-            dist_hi += p - q_lo
-        elif p <= q_lo:
-            dist_lo += q_lo - p
-            dist_hi += q_hi - p
-        else:
-            dist_hi += max(q_hi - p, p - q_lo)
-    lo = (dist_lo + p_tail + q_tail_lo) / 2
-    hi = (dist_hi + p_tail + q_tail_hi) / 2
-    return lo, hi
+        w_lo = w_lo * a // (b * j)
+        w_hi = -(-w_hi * a // (b * j))
+    tail_lo = max(0, one - sum_hi)
+    return Fraction(dist_lo + tail_lo, 2 * one), Fraction(dist_hi + tail_hi, 2 * one)
 
 
 @dataclass(frozen=True)
@@ -189,13 +183,11 @@ def decimal_str(x: Fraction, places: int = 18, round_up: bool = False) -> str:
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 
 
-def _short_chord_rows(k: int, n_values: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    table = tables.d_table_kp2(k, max(n_values))
-    return {n: table.rows[n] for n in n_values}
-
-
-def _component_rows(k: int, n_values: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    return {n: counting.component_row(k, n) for n in n_values}
+def _check_sizes(k: int, n_values: Sequence[int]) -> None:
+    if not n_values:
+        raise ValueError("need at least one n")
+    if k < 2 or min(n_values) < 1:
+        raise ValueError("need k >= 2 and every n >= 1")
 
 
 def poisson_convergence_report(
@@ -203,25 +195,24 @@ def poisson_convergence_report(
 ) -> AsymptoticReport:
     """Total-variation distance to Poisson(lambda(k, n)) along ``n_values``.
 
-    ``kind`` selects short chords (rows from the append recurrence) or
-    components (rows from the closed form).  The ``errors`` sequence is
-    the certified TV upper bound per n; ``monotone`` holds only if the
-    intervals strictly decrease.
+    ``kind`` selects short chords or components; either way each row
+    comes from its inclusion-exclusion closed form.  The ``errors``
+    sequence is the certified TV upper bound per n; ``monotone`` holds
+    only if the intervals strictly decrease.
     """
-    if not n_values:
-        raise ValueError("need at least one n")
     n_values = list(n_values)
+    _check_sizes(k, n_values)
     if kind == "short_chords":
-        rows = _short_chord_rows(k, n_values)
+        row_at = counting.short_chord_row
     elif kind == "components":
-        rows = _component_rows(k, n_values)
+        row_at = counting.component_row
     else:
         raise ValueError(f"unknown kind {kind!r}")
     exact = []
     errs_hi = []
     errs_lo = []
     for n in n_values:
-        row = rows[n]
+        row = row_at(k, n)
         exact.append(factorial_moment(row, 1))
         lo, hi = tv_distance_interval(row, poisson_lambda(k, n))
         errs_lo.append(lo)
@@ -265,17 +256,14 @@ def nc_mean_variance(k: int, n: int) -> tuple[Fraction, Fraction]:
 
 
 def nc_mean_report(k: int, n_values: Sequence[int]) -> AsymptoticReport:
-    """Exact mean/n of the non-crossing short-chord table against its limit."""
-    if not n_values:
-        raise ValueError("need at least one n")
+    """Exact mean/n of the non-crossing short-chord rows against its limit."""
     n_values = list(n_values)
-    table = tables.noncrossing_table(k, max(n_values))
+    _check_sizes(k, n_values)
     limit = Fraction(k - 1, k) ** (k - 1)
     exact = []
     errors = []
     for n in n_values:
-        row = table.rows[n]
-        mean = factorial_moment(row, 1)
+        mean = factorial_moment(tables.noncrossing_row(k, n), 1)
         exact.append(mean / n)
         errors.append(abs(mean / n - limit))
     monotone = all(errors[i + 1] < errors[i] for i in range(len(n_values) - 1))

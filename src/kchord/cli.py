@@ -66,10 +66,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _short_rows(k: int, n_max: int, route: str, jobs: int, budget: int | None):
     if route == "closed":
-        return [
-            tuple(counting.count_exact_short(k, n, s) for s in range(n + 1))
-            for n in range(n_max + 1)
-        ]
+        return [tuple(counting.short_chord_row(k, n)) for n in range(n_max + 1)]
     if route == "kp1":
         return list(tables.d_table_kp1(k, n_max).rows)
     if route == "kp2":
@@ -588,6 +585,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    # Exact counts outgrow CPython's default 4300-digit int/str limit.
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except BudgetExceededError as exc:
@@ -596,6 +597,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import Sequence
 
 
 @lru_cache(maxsize=None)
@@ -63,6 +64,37 @@ def count_at_least(k: int, n: int, j: int) -> int:
     if j < 0 or j > n:
         return 0
     return total_diagrams(k, n - j) * subpath_choices(k, k * n, j)
+
+
+def inverse_binomial_transform(marked: Sequence[int]) -> list[int]:
+    """e_s = sum_j (-1)^(j-s) C(j, s) a_j, for s = 0..len(marked)-1.
+
+    Turns counts of placements with j marked features into counts of
+    objects with exactly s features.  As generating functions this is
+    the Taylor shift E(y) = A(y - 1), done in place by repeated
+    synthetic division, with additions only.
+
+    >>> inverse_binomial_transform([15, 6, 1])
+    [10, 4, 1]
+    """
+    out = list(marked)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] -= out[j + 1]
+    return out
+
+
+def short_chord_row(k: int, n: int) -> list[int]:
+    """Counts of diagrams by number of short chords, s = 0..n.
+
+    The inclusion-exclusion of ``count_exact_short`` for a whole row at
+    once: the inverse binomial transform of the marked placements
+    ``count_at_least(k, n, j)``.
+
+    >>> short_chord_row(3, 4)
+    [12861, 2296, 226, 16, 1]
+    """
+    return inverse_binomial_transform([count_at_least(k, n, j) for j in range(n + 1)])
 
 
 def count_exact_short(k: int, n: int, shorts: int) -> int:
@@ -129,8 +161,6 @@ def component_row(k: int, n: int) -> tuple[int, ...]:
     """
     if k < 2 or n < 0:
         raise ValueError("need k >= 2 and n >= 0")
-    if n == 0:
-        return (1,)
     inner = [0] * (n + 1)
     for ell in range(n + 1):
         acc = 0
@@ -143,14 +173,7 @@ def component_row(k: int, n: int) -> tuple[int, ...]:
             )
             acc += -term if r & 1 else term
         inner[ell] = acc
-    row = [0] * (n + 1)
-    for q in range(n + 1):
-        acc = 0
-        for ell in range(q, n + 1):
-            term = comb(ell, q) * inner[ell]
-            acc += -term if (ell - q) & 1 else term
-        row[q] = acc
-    return tuple(row)
+    return tuple(inverse_binomial_transform(inner))
 
 
 def count_components(k: int, n: int, q: int) -> int:

@@ -332,7 +332,10 @@ def sample_placements(
     k-blocks.  Streams are reproducible: chunk c of the run uses a
     Philox generator seeded with SeedSequence(seed, spawn_key=(c,)), so
     results are deterministic for fixed (seed, samples, chunk_size) and
-    chunks may be evaluated in parallel.
+    chunks may be evaluated in parallel.  Boards of up to 22 vertices
+    look each block's bitmask up in a table; larger boards match each
+    block's combinatorial rank against the ranks of the connected
+    k-sets, which needs C(vertex_count, k) < 2^63.
     """
     n = _resolve_n(board, k, n)
     if samples < 1:
@@ -344,7 +347,23 @@ def sample_placements(
         for mask in connected_k_sets(board, k):
             lookup[mask] = True
     else:
-        conn_set = set(connected_k_sets(board, k))
+        if comb(v_count, k) >= 1 << 63:
+            raise ValueError(f"board too large to sample: C({v_count}, {k}) >= 2^63 vertex sets")
+        # A block is matched by its rank in the combinatorial number
+        # system, sum_i C(v_i, i+1) over its sorted vertices v_0 < v_1 < ...
+        # rank_terms[v, i] = C(v, i+1) wherever v can be the i-th smallest.
+        rank_terms = np.array(
+            [
+                [comb(v, i + 1) if v <= v_count - k + i else 0 for i in range(k)]
+                for v in range(v_count)
+            ],
+            dtype=np.int64,
+        )
+        conn_blocks = np.array(
+            [[v for v in range(v_count) if mask >> v & 1] for mask in connected_k_sets(board, k)],
+            dtype=np.int64,
+        ).reshape(-1, k)
+        conn_ranks = rank_terms[conn_blocks, np.arange(k)].sum(axis=1)
     counts_hist = np.zeros(n + 1, dtype=np.int64)
     done = 0
     chunk_index = 0
@@ -356,16 +375,17 @@ def sample_placements(
             np.tile(np.arange(v_count, dtype=np.int64), (m, 1)), axis=1
         )
         blocks = perms.reshape(m, n, k)
-        masks = np.bitwise_or.reduce(np.int64(1) << blocks, axis=2)
         if use_lookup:
+            masks = np.bitwise_or.reduce(np.int64(1) << blocks, axis=2)
             flags = lookup[masks]
-            per_sample = flags.sum(axis=1)
         else:
-            per_sample = np.fromiter(
-                (sum(int(b) in conn_set for b in row) for row in masks),
-                dtype=np.int64,
-                count=m,
-            )
+            blocks.sort(axis=2)
+            ranks = np.zeros((m, n), dtype=np.int64)
+            for i in range(k):
+                ranks += rank_terms[blocks[:, :, i], i]
+            del perms, blocks  # freed before np.isin's temporaries, to bound peak memory
+            flags = np.isin(ranks, conn_ranks)
+        per_sample = flags.sum(axis=1)
         counts_hist += np.bincount(per_sample, minlength=n + 1)
         done += m
         chunk_index += 1

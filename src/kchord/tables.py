@@ -5,7 +5,8 @@ ratio recurrence whose zero column must be seeded from the closed form
 (route ``kp1``), and a single-seed append recurrence that tracks what
 happens to short chords when one extra block is threaded into a diagram
 (route ``kp2``).  A third recurrence builds the table of fully
-non-crossing diagrams by number of short chords.
+non-crossing diagrams by number of short chords; a Lagrange-inversion
+sum gives any single row of that table on its own.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .counting import count_zero_short
+from .counting import count_zero_short, inverse_binomial_transform
 
 
 @dataclass(frozen=True)
@@ -187,6 +188,32 @@ def noncrossing_table(k: int, m_max: int) -> CountTable:
             new[s] = val
         rows.append(new)
     return CountTable(k, "noncrossing_short", tuple(tuple(r) for r in rows))
+
+
+def noncrossing_row(k: int, m: int) -> tuple[int, ...]:
+    """Row m of the non-crossing table, by Lagrange inversion.
+
+    With T = 1 + W and W = x phi(W), phi(u) = (1+u)^k - (1-y)(1+u),
+    Lagrange inversion (Flajolet & Sedgewick, Analytic Combinatorics,
+    A.6) gives
+
+        T(m, s) = (1/m) sum_j C(m, j) C((k-1)j + m, m-1) C(m-j, s) (-1)^(m-j-s),
+
+    the inverse binomial transform of a_(m-j) = C(m, j) C((k-1)j + m, m-1),
+    divided by m.
+
+    >>> noncrossing_row(3, 4)
+    (0, 8, 30, 16, 1)
+    """
+    if k < 2 or m < 0:
+        raise ValueError("need k >= 2 and m >= 0")
+    if m == 0:
+        return (1,)
+    marked = [comb(m, i) * comb((k - 1) * (m - i) + m, m - 1) for i in range(m + 1)]
+    row = inverse_binomial_transform(marked)
+    if any(c % m for c in row):
+        raise ArithmeticError(f"Lagrange form not integral at m={m}")
+    return tuple(c // m for c in row)
 
 
 def fuss_catalan(k: int, m: int) -> int:

@@ -6,7 +6,9 @@ no code with the package and serve as independent oracles.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 # Reference values for k=3, frozen.
 # d(n, s): diagrams with exactly s short blocks.
@@ -149,3 +151,55 @@ def naive_enumerate(k: int, n: int):
                 word[p] = label
         words.append(tuple(word))
     return words
+
+
+def fraction_exp_neg_interval(lam):
+    """Bounds on e^(-lam) from consecutive partial sums of its series,
+    once the terms are below 2^-200 and decreasing."""
+    if lam == 0:
+        return Fraction(1), Fraction(1)
+    term = partial = Fraction(1)
+    prev = None
+    i = 0
+    while True:
+        i += 1
+        term *= -lam / i
+        partial += term
+        if prev is not None and abs(term) < Fraction(1, 2**200) and i > lam:
+            return min(partial, prev), max(partial, prev)
+        prev = partial
+
+
+def fraction_tv_interval(row, lam, tail_tolerance=Fraction(1, 10**12)):
+    """Bounds on the total-variation distance between the normalized
+    ``row`` and Poisson(lam), summed exactly in Fractions.
+
+    Poisson masses are lam^j/j! times the e^(-lam) bounds; the support
+    is cut past the row once the certified tail is below the tolerance.
+    """
+    total = sum(row)
+    exp_lo, exp_hi = fraction_exp_neg_interval(lam)
+    masses = []
+    sum_lo = Fraction(0)
+    j = 0
+    while True:
+        w = lam**j / factorial(j)
+        masses.append((w * exp_lo, w * exp_hi))
+        sum_lo += w * exp_lo
+        if j >= len(row) - 1 and j >= lam and 1 - sum_lo < tail_tolerance:
+            break
+        j += 1
+    q_tail_hi = 1 - sum_lo
+    q_tail_lo = max(Fraction(0), 1 - sum(hi for _, hi in masses))
+    dist_lo = dist_hi = Fraction(0)
+    for idx, (q_lo, q_hi) in enumerate(masses):
+        p = Fraction(row[idx], total) if idx < len(row) else Fraction(0)
+        if p >= q_hi:
+            dist_lo += p - q_hi
+            dist_hi += p - q_lo
+        elif p <= q_lo:
+            dist_lo += q_lo - p
+            dist_hi += q_hi - p
+        else:
+            dist_hi += max(q_hi - p, p - q_lo)
+    return (dist_lo + q_tail_lo) / 2, (dist_hi + q_tail_hi) / 2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fraction_tv_interval
 from kchord import (
     characteristic_expansion,
     nc_mean_report,
@@ -17,11 +18,12 @@ from kchord import (
     tv_distance_interval,
 )
 from kchord.asymptotics import (
+    PRECISION_BITS,
     _exp_neg_interval,
     decimal_str,
     factorial_moment,
 )
-from kchord.tables import d_table_kp2, fuss_catalan
+from kchord.tables import d_table_kp2, fuss_catalan, kp2_coefficient
 
 
 class TestPoissonLambda:
@@ -91,6 +93,30 @@ class TestTvDistance:
         lo, hi = tv_distance_interval(row, Fraction(1))
         assert abs(float((lo + hi) / 2) - tv) < 1e-9
 
+    def test_agrees_with_fraction_oracle(self):
+        row = d_table_kp2(3, 30).rows[30]
+        lam = poisson_lambda(3, 30)
+        lo, hi = tv_distance_interval(row, lam)
+        o_lo, o_hi = fraction_tv_interval(row, lam)
+        assert lo <= o_lo <= o_hi <= hi
+        assert 2 ** (PRECISION_BITS + 1) % hi.denominator == 0
+
+    @given(
+        st.lists(st.integers(0, 10**40), min_size=1, max_size=40).filter(any),
+        st.fractions(min_value=0, max_value=5, max_denominator=1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_contains_fraction_oracle(self, row, lam):
+        # Same e^(-lam) bracket, outward rounding: the dyadic interval
+        # holds the exact-Fraction one and is only a few ulps wider.
+        lo, hi = tv_distance_interval(row, lam)
+        o_lo, o_hi = fraction_tv_interval(row, lam)
+        assert 0 <= lo <= o_lo <= o_hi <= hi <= 1
+        assert (o_lo - lo) + (hi - o_hi) <= Fraction(1, 2**240)
+        assert hi - lo <= Fraction(1, 2**190)
+        for bound in (lo, hi):
+            assert 2 ** (PRECISION_BITS + 1) % bound.denominator == 0
+
 
 class TestPoissonReport:
     def test_short_chords_k2(self):
@@ -114,6 +140,19 @@ class TestPoissonReport:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             poisson_convergence_report(2, [])
+
+    @pytest.mark.parametrize("k, n_values", [(1, [3]), (0, [5]), (2, [0, 5]), (3, [-1])])
+    def test_rejects_bad_sizes(self, k, n_values):
+        for kind in ("short_chords", "components"):
+            with pytest.raises(ValueError, match="k >= 2"):
+                poisson_convergence_report(k, n_values, kind)
+        with pytest.raises(ValueError, match="k >= 2"):
+            nc_mean_report(k, n_values)
+
+    def test_builds_no_table(self):
+        kp2_coefficient.cache_clear()
+        poisson_convergence_report(2, [40, 80])
+        assert kp2_coefficient.cache_info().currsize == 0
 
     def test_serialization_shapes(self):
         rep = poisson_convergence_report(2, [10, 20])

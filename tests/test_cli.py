@@ -3,11 +3,15 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import C_TABLE_K3, D_TABLE_K3, T_TABLE_K3
+from kchord import total_diagrams
 from kchord.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +123,26 @@ class TestTable:
         assert b"\r" not in blob
         assert blob.endswith(b"\n")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    def test_entries_past_the_int_str_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(
+            capsys, "table", "--k", "100", "--stat", "short", "--n-max", "60", "--route", "closed"
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sums = [0] * 61
+        sys.set_int_max_str_digits(0)
+        try:
+            for line in out.splitlines()[1:]:
+                n, _s, count = line.split(",")
+                sums[int(n)] += int(count)
+            assert sums == [total_diagrams(100, n) for n in range(61)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestVerify:
     def test_passes_small(self, capsys):
@@ -228,6 +252,13 @@ class TestMemory:
         data = json.loads(out)
         assert data["connected_k_subgraphs"] == 3
 
+    def test_sample_board_too_large(self, capsys):
+        code, out, err = run_cli(
+            capsys, "memory", "--board", "path:128", "--k", "64", "--sample", "10"
+        )
+        assert code == 2 and out == ""
+        assert "2^63" in err
+
     def test_exhaustive_budget(self, capsys):
         code, _, err = run_cli(
             capsys, "memory", "--board", "grid:4x4", "--k", "2",
@@ -250,6 +281,31 @@ class TestAsympt:
         data = json.loads(out)
         assert data["kind"] == "noncrossing_short_mean"
         assert data["monotone"] in (True, False)
+
+    @pytest.mark.parametrize(
+        "fixture, argv",
+        [
+            ("k2_short.json", "--k 2 --kind short --n 250,500,1000 --format json"),
+            ("k3_short.csv", "--k 3 --kind short --n 50,100,200 --format csv"),
+            ("k2_components.json", "--k 2 --kind components --n 25,50,100 --format json"),
+            ("k3_nc_short.json", "--k 3 --kind nc-short --n 50,100 --format json"),
+        ],
+    )
+    def test_golden_output(self, capsys, fixture, argv):
+        # frozen from the earlier full-table and Fraction-interval reports
+        code, out, _ = run_cli(capsys, "asympt", *argv.split())
+        assert code == 0
+        assert out == (FIXTURES / "asympt" / fixture).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["--k 1 --n 3", "--k 1 --kind nc-short --n 3", "--k 3 --kind nc-short --n 0"],
+    )
+    def test_rejects_bad_sizes(self, capsys, argv):
+        code, out, err = run_cli(capsys, "asympt", *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err == "error: need k >= 2 and every n >= 1\n"
 
 
 class TestArgumentErrors:

@@ -19,10 +19,13 @@ from kchord import (
 )
 from kchord.counting import (
     component_row,
+    inverse_binomial_transform,
     narayana,
+    short_chord_row,
     subpath_choices,
     triple_count_closed_k2,
 )
+from kchord.tables import d_table_kp2
 
 
 def brute_subpath_choices(k: int, path_len: int, j: int) -> int:
@@ -102,6 +105,34 @@ class TestShortChordCounts:
     @settings(max_examples=60)
     def test_row_sums_to_total(self, k, n):
         assert sum(count_exact_short(k, n, s) for s in range(n + 1)) == total_diagrams(k, n)
+
+
+class TestShortChordRow:
+    def test_inverse_binomial_transform_literal(self):
+        marked = [7, -3, 11, 0, 5]
+        want = [
+            sum((-1) ** (j - s) * comb(j, s) * marked[j] for j in range(s, len(marked)))
+            for s in range(len(marked))
+        ]
+        assert inverse_binomial_transform(marked) == want
+        assert inverse_binomial_transform([]) == []
+
+    @given(st.lists(st.integers(-(10**30), 10**30), max_size=25))
+    @settings(max_examples=60)
+    def test_inverts_binomial_transform(self, exact):
+        marked = [
+            sum(comb(s, j) * exact[s] for s in range(j, len(exact)))
+            for j in range(len(exact))
+        ]
+        assert inverse_binomial_transform(marked) == exact
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_append_recurrence_and_closed_entries(self, k):
+        table = d_table_kp2(k, 20)
+        for n in range(21):
+            row = short_chord_row(k, n)
+            assert tuple(row) == table.rows[n]
+            assert row == [count_exact_short(k, n, s) for s in range(n + 1)]
 
 
 class TestMean:

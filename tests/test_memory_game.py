@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import naive_enumerate, naive_stats
@@ -26,6 +27,25 @@ from kchord.memory_game import (
     make_placement,
     placement_stats,
 )
+
+
+def loop_histogram(board: Board, k: int, samples: int, seed: int, chunk_size: int) -> dict:
+    """Per-block reference for sample_placements: the same random stream,
+    each block tested as a Python-int bitmask against the connected sets."""
+    connected = set(connected_k_sets(board, k))
+    hist: Counter = Counter()
+    done = chunk = 0
+    while done < samples:
+        m = min(chunk_size, samples - done)
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))
+        rng = np.random.Generator(np.random.Philox(ss))
+        perms = rng.permuted(np.tile(np.arange(board.vertex_count), (m, 1)), axis=1)
+        for perm in perms.tolist():
+            blocks = (perm[i : i + k] for i in range(0, len(perm), k))
+            hist[sum(sum(1 << v for v in block) in connected for block in blocks)] += 1
+        done += m
+        chunk += 1
+    return dict(hist)
 
 
 def naive_connected_sets(board: Board, k: int) -> set[frozenset]:
@@ -207,6 +227,30 @@ class TestSampling:
         assert sum(r.histogram.values()) == 2000
         exact = float(mean_short_chords(2, 13))
         assert abs(float(r.mean) - exact) < 6 * r.stderr + 0.05
+
+    @pytest.mark.parametrize(
+        "spec, k", [("path:26", 2), ("grid:5x6", 3), ("torus:6x6", 4), ("grid:8x9", 2)]
+    )
+    def test_scan_path_matches_loop_reference(self, spec, k):
+        board = board_from_spec(spec)
+        r = sample_placements(board, k, 2500, seed=5, chunk_size=1000)
+        assert r.histogram == loop_histogram(board, k, 2500, 5, 1000)
+
+    def test_board_of_72_vertices(self):
+        # 64 or more vertices once wrapped 64-bit block masks
+        board = grid_board(8, 9)
+        exact = mean_polyominoes(board, 2)
+        assert exact == Fraction(127, 71)
+        r = sample_placements(board, 2, 50_000, seed=7)
+        assert abs(float(r.mean - exact)) < 5 * r.stderr
+
+    def test_rejects_boards_past_63_bit_ranks(self):
+        with pytest.raises(ValueError, match="2\\^63"):
+            sample_placements(path_board(128), 64, 10, seed=0)
+        # C(66, 33) still fits, as does the one block of path:70 at k = 70
+        # (whose unreachable rank terms such as C(69, 35) would not)
+        assert sample_placements(path_board(66), 33, 10, seed=0).samples == 10
+        assert sample_placements(path_board(70), 70, 10, seed=0).mean == 1
 
     def test_spawn_key_layout_recorded(self):
         r = sample_placements(grid_board(2, 2), 2, 100, seed=9)

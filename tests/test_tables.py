@@ -16,7 +16,7 @@ from kchord import (
     total_diagrams,
 )
 from kchord.counting import count_exact_short, narayana
-from kchord.tables import balls_in_bins_coeff, kp2_coefficient
+from kchord.tables import balls_in_bins_coeff, kp2_coefficient, noncrossing_row
 
 
 class TestCountTable:
@@ -124,6 +124,19 @@ class TestNoncrossingTable:
                 if nc == m:
                     want[s] += 1
             assert list(t.rows[m]) == want
+
+
+class TestNoncrossingRow:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_recurrence(self, k):
+        t = noncrossing_table(k, 30)
+        for m in range(31):
+            assert noncrossing_row(k, m) == t.rows[m]
+
+    def test_rejects_bad_arguments(self):
+        for k, m in ((1, 3), (3, -1)):
+            with pytest.raises(ValueError):
+                noncrossing_row(k, m)
 
 
 class TestFussCatalan:
