@@ -33,7 +33,6 @@ from .diagrams import (
     LatticePath,
     canonicalize,
     encode_lattice_path,
-    enumerate_diagrams,
     enumerate_noncrossing,
     stats,
     survey,
@@ -87,7 +86,6 @@ __all__ = [
     "d_table_kp1",
     "d_table_kp2",
     "encode_lattice_path",
-    "enumerate_diagrams",
     "enumerate_noncrossing",
     "exhaustive_distribution",
     "fuss_catalan",

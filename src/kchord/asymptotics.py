@@ -88,7 +88,8 @@ def tv_distance_interval(
     the distance, so the bounds cover the full supports.  All masses are
     integers scaled by 2^PRECISION_BITS and rounded outward (floor for a
     lower bound, ceiling for an upper one), so the returned fractions
-    have denominator dividing 2^(PRECISION_BITS+1).
+    have denominator dividing 2^(PRECISION_BITS+1).  The upper bound is
+    clamped to 1.
     """
     total = sum(row)
     if total <= 0:
@@ -123,7 +124,9 @@ def tv_distance_interval(
         w_lo = w_lo * a // (b * j)
         w_hi = -(-w_hi * a // (b * j))
     tail_lo = max(0, one - sum_hi)
-    return Fraction(dist_lo + tail_lo, 2 * one), Fraction(dist_hi + tail_hi, 2 * one)
+    # A total-variation distance is at most 1, whatever the rounding adds.
+    upper = min(dist_hi + tail_hi, 2 * one)
+    return Fraction(dist_lo + tail_lo, 2 * one), Fraction(upper, 2 * one)
 
 
 @dataclass(frozen=True)

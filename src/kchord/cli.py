@@ -136,6 +136,8 @@ def _trim(row) -> tuple[int, ...]:
 
 
 def build_rows(stat: str, k: int, n_max: int, route: str, jobs: int = 1, budget: int | None = None):
+    if k < 2 or n_max < 0:
+        raise ValueError("need k >= 2 and n_max >= 0")
     route = ROUTE_ALIASES.get(route, route)
     if route not in ROUTES_BY_STAT[stat]:
         raise ValueError(
@@ -501,6 +503,13 @@ def _cmd_verify(args) -> int:
 # --- parser -------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kchord",
@@ -525,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", default=None, help="closed|kp1|kp2|series|recurrence|oracle")
     p.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
     p.add_argument("--offset", type=int, default=1, help="first index for bfile output")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--budget", type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_table)
@@ -534,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--budget", type=int, default=None)
     common(p)
     p.set_defaults(func=_cmd_verify)

@@ -94,6 +94,8 @@ def short_chord_row(k: int, n: int) -> list[int]:
     >>> short_chord_row(3, 4)
     [12861, 2296, 226, 16, 1]
     """
+    if k < 2 or n < 0:
+        raise ValueError("need k >= 2 and n >= 0")
     return inverse_binomial_transform([count_at_least(k, n, j) for j in range(n + 1)])
 
 

@@ -3,10 +3,11 @@
 A diagram places ``k*n`` linearly ordered vertices into ``n`` blocks
 ("chords") of ``k`` vertices each.  The canonical form is the word that
 lists, for each position, the label of its block, with labels numbered
-by first occurrence.  This module provides canonicalization, exhaustive
-enumeration (with deterministic sub-range partitioning for parallel
-runs), per-diagram statistics, the lattice-path encoding of non-crossing
-diagrams, and a brute-force statistics survey used as the test oracle.
+by first occurrence.  This module provides canonicalization, per-diagram
+statistics computed on block bitmasks, the lattice-path encoding of
+non-crossing diagrams, and the one partition walk behind the brute-force
+statistics survey (the test oracle) and the memory game's exhaustive
+deals, with deterministic sub-ranges for parallel runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 DEFAULT_ORACLE_BUDGET = 10**7
 
@@ -32,12 +33,16 @@ def oracle_budget(override: int | None = None) -> int:
     """Enumeration cap for brute-force surveys.
 
     Priority: explicit argument, then the ``KCHORD_ORACLE_BUDGET``
-    environment variable, then the default of 10**7.
+    environment variable, then the default of 10**7.  A negative budget
+    is rejected.
     """
-    if override is not None:
-        return int(override)
-    env = os.environ.get("KCHORD_ORACLE_BUDGET")
-    return int(env) if env else DEFAULT_ORACLE_BUDGET
+    if override is None:
+        env = os.environ.get("KCHORD_ORACLE_BUDGET")
+        override = env if env else DEFAULT_ORACLE_BUDGET
+    budget = int(override)
+    if budget < 0:
+        raise ValueError(f"oracle budget must be nonnegative, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,13 @@ class Diagram:
         for pos, label in enumerate(self.word):
             out[label].append(pos)
         return [tuple(b) for b in out]
+
+    def masks(self) -> list[int]:
+        """Bitmask of the positions of each block, indexed by label."""
+        out = [0] * self.n
+        for pos, label in enumerate(self.word):
+            out[label] |= 1 << pos
+        return out
 
     def as_text(self) -> str:
         return ",".join(str(c) for c in self.word)
@@ -176,134 +188,60 @@ def block0_placements(k: int, n: int) -> list[tuple[int, ...]]:
     return [(0,) + rest for rest in combinations(range(1, k * n), k - 1)]
 
 
-def enumerate_diagrams(
-    k: int, n: int, block0: Sequence[int] | None = None
-) -> Iterator[Diagram]:
-    """Yield every canonical diagram, in lexicographic word order.
+def _span(mask: int) -> int:
+    """The bits from a block's lowest vertex to its highest.
 
-    ``block0`` restricts the walk to diagrams whose block 0 occupies
-    exactly those positions (one sub-range of ``block0_placements``).
+    >>> bin(_span(0b100101))
+    '0b111111'
     """
-    if k < 2 or n < 0:
-        raise ValueError("need k >= 2 and n >= 0")
-    kn = k * n
-    if n == 0:
-        yield Diagram(k, 0, ())
-        return
-    block0_set: frozenset[int] | None = None
-    if block0 is not None:
-        block0_set = frozenset(block0)
-        if len(block0_set) != k or 0 not in block0_set:
-            raise ValueError("block0 must be k distinct positions including 0")
-        if any(not 0 <= p < kn for p in block0_set):
-            raise ValueError("block0 positions out of range")
-
-    word = [0] * kn
-    counts = [0] * n
-
-    def walk(pos: int, started: int) -> Iterator[Diagram]:
-        if pos == kn:
-            yield Diagram(k, n, tuple(word))
-            return
-        if block0_set is not None:
-            if pos in block0_set:
-                if counts[0] < k:
-                    word[pos] = 0
-                    counts[0] += 1
-                    yield from walk(pos + 1, max(started, 1))
-                    counts[0] -= 1
-                return
-            lo = 1
-        else:
-            lo = 0
-        for label in range(lo, started):
-            if counts[label] < k:
-                word[pos] = label
-                counts[label] += 1
-                yield from walk(pos + 1, started)
-                counts[label] -= 1
-        if started < n and (block0_set is None or started > 0):
-            word[pos] = started
-            counts[started] += 1
-            yield from walk(pos + 1, started + 1)
-            counts[started] -= 1
-
-    yield from walk(0, 0)
+    return (1 << mask.bit_length()) - (mask & -mask)
 
 
-def _pair_crosses(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Whether two disjoint sorted position tuples interleave.
+def _crosses(a: int, b: int) -> bool:
+    """Whether two disjoint blocks interleave: each one has a vertex
+    inside the other's span."""
+    return bool(_span(a) & b and _span(b) & a)
 
-    The blocks cross iff the merged sequence has at least four maximal
-    runs of same-block positions (an abab or baba pattern exists).
+
+def _linear_stats(masks: Sequence[int]) -> tuple[int, int, int]:
+    """(short chords, components, non-crossing blocks) of a diagram whose
+    blocks ``masks`` are listed in order of their lowest vertex.
+
+    A block is short when it fills its span.  Components are the runs
+    of the union U of the short blocks, one per bit of U & ~(U << 1).  A
+    block crosses an earlier-listed one exactly when its span meets it,
+    so a forward pass finds the blocks crossed from the left and a
+    backward pass those crossed from the right.  A block is non-crossing
+    when its span meets no crossed block: the blocks inside its span are
+    then all nested in its gaps, and by induction non-crossing too.
     """
-    ia = ib = 0
-    la, lb = len(a), len(b)
-    runs = 0
-    prev = -1
-    while ia < la and ib < lb:
-        if a[ia] < b[ib]:
-            cur = 0
-            ia += 1
-        else:
-            cur = 1
-            ib += 1
-        if cur != prev:
-            runs += 1
-            prev = cur
-    if ia < la and prev != 0:
-        runs += 1
-    if ib < lb and prev != 1:
-        runs += 1
-    return runs >= 4
+    spans = [(1 << m.bit_length()) - (m & -m) for m in masks]  # _span, inlined
+    shorts = union = crossed = seen = 0
+    for m, s in zip(masks, spans):
+        if m == s:
+            shorts += 1
+            union |= m
+        if s & seen:
+            crossed |= m
+        seen |= m
+    seen = 0
+    for i in range(len(masks) - 1, -1, -1):
+        if masks[i] & seen:
+            crossed |= masks[i]
+        seen |= spans[i]
+    noncrossing = sum(1 for s in spans if not s & crossed)
+    return shorts, (union & ~(union << 1)).bit_count(), noncrossing
 
 
 def stats(diagram: Diagram) -> BlockStats:
     """Compute the four block statistics of a diagram."""
-    k, n = diagram.k, diagram.n
-    blocks = diagram.blocks()
-    mins = [b[0] for b in blocks]
-    maxs = [b[-1] for b in blocks]
-    short = [maxs[i] - mins[i] == k - 1 for i in range(n)]
-
-    crossing_pairs = 0
-    crossed = [False] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _pair_crosses(blocks[i], blocks[j]):
-                crossing_pairs += 1
-                crossed[i] = crossed[j] = True
-
-    # Maximal runs of adjacent short chords, scanned left to right.
-    components = 0
-    last_end = -2
-    for i in sorted(range(n), key=lambda i: mins[i]):
-        if short[i]:
-            if mins[i] != last_end + 1:
-                components += 1
-            last_end = maxs[i]
-
-    # Non-crossing fixpoint.  Blocks are processed innermost-outward
-    # (narrower spans first) so nested verdicts are available in time.
-    noncrossing = 0
-    nc = [False] * n
-    for i in sorted(range(n), key=lambda i: maxs[i] - mins[i]):
-        if crossed[i]:
-            continue
-        ok = True
-        for j in range(n):
-            if j != i and mins[i] < mins[j] and maxs[j] < maxs[i] and not nc[j]:
-                ok = False
-                break
-        if ok:
-            nc[i] = True
-            noncrossing += 1
-
+    masks = diagram.masks()
+    shorts, components, noncrossing = _linear_stats(masks)
     return BlockStats(
-        short_chords=sum(short),
+        short_chords=shorts,
         components=components,
         noncrossing=noncrossing,
-        crossing_pairs=crossing_pairs,
+        crossing_pairs=sum(_crosses(a, b) for a, b in combinations(masks, 2)),
     )
 
 
@@ -313,16 +251,14 @@ def encode_lattice_path(diagram: Diagram) -> LatticePath:
     Every vertex that is not the last of its block becomes U; each
     block's last vertex becomes D.  Rejects diagrams with any crossing.
     """
-    last = {}
-    for pos, label in enumerate(diagram.word):
-        last[label] = pos
-    blocks = diagram.blocks()
-    for i in range(diagram.n):
-        for j in range(i + 1, diagram.n):
-            if _pair_crosses(blocks[i], blocks[j]):
-                raise ValueError(f"blocks {i} and {j} cross; diagram has no path encoding")
-    lasts = set(last.values())
-    return LatticePath("".join("D" if p in lasts else "U" for p in range(len(diagram.word))))
+    masks = diagram.masks()
+    for (i, a), (j, b) in combinations(enumerate(masks), 2):
+        if _crosses(a, b):
+            raise ValueError(f"blocks {i} and {j} cross; diagram has no path encoding")
+    lasts = 0
+    for m in masks:
+        lasts |= 1 << (m.bit_length() - 1)
+    return LatticePath("".join("D" if lasts >> p & 1 else "U" for p in range(len(diagram.word))))
 
 
 def enumerate_noncrossing(k: int, n: int) -> Iterator[Diagram]:
@@ -384,6 +320,44 @@ def _product_lists(lists: list[list[tuple[int, ...]]]) -> Iterator[list[tuple[in
             yield [head] + tail
 
 
+def _partitions(vertices: int, k: int, visit: Callable[[list[int]], None], block0: int = 0) -> None:
+    """Call ``visit(masks)`` once for each partition of range(vertices)
+    into k-sets.
+
+    ``masks`` holds the blocks as bitmasks in order of their lowest
+    vertex; the one list is reused from call to call.  Each block takes
+    the lowest free vertex and k-1 partners from the rest (Knuth, TAOCP
+    7.2.1.5), and the last block takes what is left.  A non-zero
+    ``block0`` fixes the block of vertex 0, so that the walks over its
+    possible values split the partitions into disjoint sub-ranges.
+    """
+    n = vertices // k
+    masks = [0] * n
+    free = (1 << vertices) - 1
+    depth = 0
+    if block0:
+        masks[0] = block0
+        free ^= block0
+        depth = 1
+
+    def place(free: int, bits: list[int], depth: int) -> None:
+        low, rest = bits[0], bits[1:]
+        for partners in combinations(rest, k - 1):
+            m = low + sum(partners)
+            masks[depth] = m
+            if depth + 2 == n:
+                masks[depth + 1] = free - m
+                visit(masks)
+            else:
+                place(free - m, [b for b in rest if not b & m], depth + 1)
+
+    if n - depth < 2:  # nothing, or one forced block, left to place
+        masks[depth:] = [free] * (n - depth)
+        visit(masks)
+    else:
+        place(free, [1 << v for v in range(vertices) if free >> v & 1], depth)
+
+
 def survey(
     k: int,
     n: int,
@@ -392,10 +366,10 @@ def survey(
 ) -> dict[tuple[int, int, int], int]:
     """Brute-force joint histogram over (short_chords, components, noncrossing).
 
-    Visits every diagram (or the sub-range with block 0 fixed) by direct
-    recursion on partner choices for the smallest free position; the
-    statistics are maintained incrementally.  This is the oracle that
-    every counting formula in the package is tested against.
+    Visits every diagram (or the sub-range with block 0 fixed) once
+    with the partition walk and reads the statistics off its block
+    bitmasks.  This is the oracle that every counting formula in the
+    package is tested against.
     """
     from .counting import total_diagrams
 
@@ -404,95 +378,21 @@ def survey(
     cap = oracle_budget(budget)
     if block0 is None and total_diagrams(k, n) > cap:
         raise BudgetExceededError(total_diagrams(k, n), cap)
+    fixed = 0
+    if block0 is not None:
+        positions = set(block0)
+        in_range = all(0 <= p < k * n for p in positions)
+        if len(positions) != k or 0 not in positions or not in_range:
+            raise ValueError("block0 must be k distinct positions including 0")
+        fixed = sum(1 << p for p in positions)
 
     hist: dict[tuple[int, int, int], int] = {}
-    if n == 0:
-        hist[(0, 0, 0)] = 1
-        return hist
 
-    kn = k * n
-    blocks: list[tuple[int, ...]] = [()] * n
-    mins = [0] * n
-    maxs = [0] * n
-    short = [False] * n
-    cross_ct = [0] * n
-    nc = [False] * n
-    ncomb = combinations
-
-    def leaf():
-        shorts = 0
-        comps = 0
-        last_end = -2
-        for i in range(n):
-            if short[i]:
-                shorts += 1
-                if mins[i] != last_end + 1:
-                    comps += 1
-                last_end = maxs[i]
-        # mins are increasing with the block index, so any block nested
-        # inside block i has a larger index; scan outward from the right.
-        m_ct = 0
-        for i in range(n - 1, -1, -1):
-            if cross_ct[i]:
-                nc[i] = False
-                continue
-            mi = maxs[i]
-            ok = True
-            for j in range(i + 1, n):
-                if maxs[j] < mi and not nc[j]:
-                    ok = False
-                    break
-            nc[i] = ok
-            if ok:
-                m_ct += 1
-        key = (shorts, comps, m_ct)
+    def leaf(masks: list[int]) -> None:
+        key = _linear_stats(masks)
         hist[key] = hist.get(key, 0) + 1
 
-    def place(avail: tuple[int, ...], depth: int):
-        p0 = avail[0]
-        rest = avail[1:]
-        last_block = depth == n - 1
-        for partners in ncomb(rest, k - 1):
-            block = (p0,) + partners
-            blocks[depth] = block
-            mins[depth] = p0
-            maxs[depth] = partners[-1]
-            short[depth] = partners[-1] - p0 == k - 1
-            # crossing counts against all earlier blocks
-            touched = []
-            cc = 0
-            for i in range(depth):
-                if maxs[i] < p0:
-                    continue
-                if _pair_crosses(blocks[i], block):
-                    cross_ct[i] += 1
-                    touched.append(i)
-                    cc += 1
-            cross_ct[depth] = cc
-            if last_block:
-                leaf()
-            else:
-                taken = set(partners)
-                place(tuple(p for p in rest if p not in taken), depth + 1)
-            for i in touched:
-                cross_ct[i] -= 1
-
-    if block0 is not None:
-        b0 = tuple(sorted(block0))
-        if len(b0) != k or b0[0] != 0 or b0[-1] >= kn or len(set(b0)) != k:
-            raise ValueError("block0 must be k distinct positions including 0")
-        blocks[0] = b0
-        mins[0] = 0
-        maxs[0] = b0[-1]
-        short[0] = b0[-1] == k - 1
-        cross_ct[0] = 0
-        if n == 1:
-            leaf()
-        else:
-            b0set = set(b0)
-            place(tuple(p for p in range(kn) if p not in b0set), 1)
-    else:
-        place(tuple(range(kn)), 0)
+    _partitions(k * n, k, leaf, fixed)
     return hist
 
 
@@ -514,10 +414,12 @@ def survey_parallel(
     """
     from .counting import total_diagrams
 
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     cap = oracle_budget(budget)
     if total_diagrams(k, n) > cap:
         raise BudgetExceededError(total_diagrams(k, n), cap)
-    if jobs <= 1 or n <= 1:
+    if jobs == 1 or n <= 1:
         return survey(k, n, budget=budget)
     from multiprocessing import Pool
 

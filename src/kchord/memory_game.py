@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import comb, sqrt
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .counting import total_diagrams
-from .diagrams import BudgetExceededError, oracle_budget
+from .diagrams import BudgetExceededError, _partitions, oracle_budget
 
 SAMPLE_CHUNK = 1 << 14
 RNG_ALGORITHM = "philox4x64/seedseq(entropy=seed,spawn_key=(chunk,))"
@@ -181,54 +180,6 @@ def _resolve_n(board: Board, k: int, n: int | None) -> int:
     return blocks
 
 
-@dataclass(frozen=True)
-class Placement:
-    """A deal: vertex i holds a card of rank ``assignment[i]``.
-
-    Ranks are unlabeled; the stored assignment is normalized to
-    first-occurrence order.
-    """
-
-    board: Board
-    k: int
-    assignment: tuple[int, ...]
-
-    def __post_init__(self):
-        n = _resolve_n(self.board, self.k, None)
-        if len(self.assignment) != self.board.vertex_count:
-            raise ValueError("assignment length must match vertex count")
-        counts = [0] * n
-        seen = 0
-        for lab in self.assignment:
-            if not 0 <= lab < n:
-                raise ValueError(f"rank {lab} out of range")
-            if lab > seen:
-                raise ValueError("ranks must appear in first-occurrence order")
-            if lab == seen:
-                seen += 1
-            counts[lab] += 1
-        if any(c != self.k for c in counts):
-            raise ValueError("every rank must occur exactly k times")
-
-    def block_masks(self) -> list[int]:
-        n = self.board.vertex_count // self.k
-        masks = [0] * n
-        for vertex, lab in enumerate(self.assignment):
-            masks[lab] |= 1 << vertex
-        return masks
-
-
-def make_placement(board: Board, k: int, labels: Sequence[int]) -> Placement:
-    """Build a placement from any labeling, normalizing rank names."""
-    order: dict[int, int] = {}
-    normalized = []
-    for lab in labels:
-        if lab not in order:
-            order[lab] = len(order)
-        normalized.append(order[lab])
-    return Placement(board, k, tuple(normalized))
-
-
 def _mask_components(nbrs: Sequence[int], mask: int) -> int:
     comps = 0
     rem = mask
@@ -249,24 +200,13 @@ def _mask_components(nbrs: Sequence[int], mask: int) -> int:
     return comps
 
 
-def placement_stats(placement: Placement) -> tuple[int, int]:
-    """(polyomino count, connected components of the polyomino area)."""
-    nbrs = placement.board.neighbor_masks
-    union = 0
-    polyominoes = 0
-    for mask in placement.block_masks():
-        if _mask_components(nbrs, mask) == 1:
-            polyominoes += 1
-            union |= mask
-    return polyominoes, _mask_components(nbrs, union)
-
-
 def exhaustive_distribution(
     board: Board, k: int, n: int | None = None, budget: int | None = None
 ) -> dict[tuple[int, int], int]:
     """Histogram of (polyominoes, components) over every deal.
 
-    Deals are partitions of the vertices into unlabeled k-sets; the
+    Deals are partitions of the vertices into unlabeled k-sets, visited
+    as block bitmasks by the partition walk of ``kchord.diagrams``; the
     count is total_diagrams(k, n), checked against the oracle budget.
     """
     n = _resolve_n(board, k, n)
@@ -274,35 +214,20 @@ def exhaustive_distribution(
     total = total_diagrams(k, n)
     if total > cap:
         raise BudgetExceededError(total, cap)
-    hist: dict[tuple[int, int], int] = {}
-    if n == 0:
-        hist[(0, 0)] = 1
-        return hist
     nbrs = board.neighbor_masks
     connected = set(connected_k_sets(board, k))
-    poly_masks = [0] * n
+    hist: dict[tuple[int, int], int] = {}
 
-    def place(avail: tuple[int, ...], depth: int, poly_count: int):
-        v0 = avail[0]
-        rest = avail[1:]
-        for partners in combinations(rest, k - 1):
-            mask = 1 << v0
-            for p in partners:
-                mask |= 1 << p
-            is_poly = mask in connected
-            poly_masks[depth] = mask if is_poly else 0
-            new_count = poly_count + is_poly
-            if depth == n - 1:
-                union = 0
-                for pm in poly_masks:
-                    union |= pm
-                key = (new_count, _mask_components(nbrs, union))
-                hist[key] = hist.get(key, 0) + 1
-            else:
-                taken = set(partners)
-                place(tuple(p for p in rest if p not in taken), depth + 1, new_count)
+    def leaf(masks: list[int]) -> None:
+        union = polyominoes = 0
+        for m in masks:
+            if m in connected:
+                polyominoes += 1
+                union |= m
+        key = (polyominoes, _mask_components(nbrs, union))
+        hist[key] = hist.get(key, 0) + 1
 
-    place(tuple(range(board.vertex_count)), 0, 0)
+    _partitions(board.vertex_count, k, leaf)
     return hist
 
 

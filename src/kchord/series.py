@@ -172,6 +172,11 @@ def neg_binomial_expand(u: BivariateSeries, r: int) -> BivariateSeries:
     return acc
 
 
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"block size must be at least 2, got {k}")
+
+
 def L_series(k: int, order1: int, order2: int) -> BivariateSeries:
     """Lattice-path series 1 / (1 - y (1 + x^k y^(k-1))).
 
@@ -179,6 +184,7 @@ def L_series(k: int, order1: int, order2: int) -> BivariateSeries:
     U-runs of maximal height; it equals subpath_choices(k, s, j) after
     the change of viewpoint from paths back to chords.
     """
+    _check_k(k)
     x_part = BivariateSeries.monomial(order1, order2, k, k - 1, 1, ("x", "y"))
     inner = BivariateSeries.one(order1, order2, ("x", "y")) + x_part
     y = BivariateSeries.monomial(order1, order2, 0, 1, 1, ("x", "y"))
@@ -193,6 +199,7 @@ def F_series(k: int, n_max: int) -> BivariateSeries:
     The coefficient of w^n z^s is the number of diagrams with n blocks
     and s short chords.  Formal only; the sum diverges as a function.
     """
+    _check_k(k)
     names = ("w", "z")
     u = BivariateSeries.monomial(n_max, n_max, 1, 0, 1, names) + BivariateSeries.monomial(
         n_max, n_max, 1, 1, -1, names
@@ -213,6 +220,7 @@ def C_series(k: int, n_max: int) -> BivariateSeries:
     The coefficient of y^n z^q is the number of diagrams with n blocks
     whose short chords form exactly q maximal runs.
     """
+    _check_k(k)
     names = ("y", "z")
     numer = (
         BivariateSeries.one(n_max, n_max, names)
@@ -239,6 +247,7 @@ def T_series(k: int, order1: int, order2: int) -> BivariateSeries:
     converge the truncation.  Coefficient of x^m y^s: non-crossing
     diagrams with m blocks and s short chords.
     """
+    _check_k(k)
     names = ("x", "y")
     one = BivariateSeries.one(order1, order2, names)
     x = BivariateSeries.monomial(order1, order2, 1, 0, 1, names)

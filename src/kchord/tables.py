@@ -36,6 +36,11 @@ class CountTable:
         return sum(self.rows[n])
 
 
+def _check_table(k: int, n_max: int) -> None:
+    if k < 2 or n_max < 0:
+        raise ValueError("need k >= 2 and a nonnegative largest row")
+
+
 def _stars_and_bars(bins: int, balls: int) -> int:
     """Ways to drop identical balls into distinguishable bins."""
     if bins < 0:
@@ -53,6 +58,7 @@ def d_table_kp1(k: int, n_max: int) -> CountTable:
     The relation is vacuous at s = 0, so that column is seeded from the
     zero-short closed form; every other entry divides out exactly.
     """
+    _check_table(k, n_max)
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(1, n_max + 1):
         prev = rows[n - 1]
@@ -122,6 +128,7 @@ def d_table_kp2(k: int, n_max: int) -> CountTable:
                   + d(n, s) * sum_h stars_and_bars(kn - (k-1)s, k - h)
                   + sum_{p=1}^{k-1} kp2_coefficient(n, s, p, k) * d(n, s+p)
     """
+    _check_table(k, n_max)
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(n_max):
         prev = rows[n]
@@ -156,6 +163,7 @@ def noncrossing_table(k: int, m_max: int) -> CountTable:
 
     Powers T^2..T^k are grown row by row alongside T itself.
     """
+    _check_table(k, m_max)
     rows: list[list[int]] = [[1]]
     # powers[i] holds rows of T^(i+1); powers[0] is T itself.
     powers: list[list[list[int]]] = [rows] + [[[1]] for _ in range(k - 1)]

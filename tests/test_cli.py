@@ -318,6 +318,38 @@ class TestArgumentErrors:
     def test_missing_required(self, capsys):
         assert main(["table", "--k", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "table --k 1 --stat short --n-max 3",
+            "table --k 0 --stat nc-short --n-max 3",
+            "table --k 2 --stat short --n-max -2",
+            "series --k 1 --gf T --order 3",
+        ],
+    )
+    def test_rejects_invalid_sizes(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_rejects_negative_budget(self, capsys):
+        argv = "table --k 2 --stat short --n-max 3 --route oracle --budget -5".split()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "nonnegative" in err
+
+    def test_rejects_negative_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("KCHORD_ORACLE_BUDGET", "-5")
+        code, out, _ = run_cli(capsys, "memory", "--board", "path:4", "--k", "2", "--exhaustive")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("command", ["table --stat short --route oracle", "verify"])
+    def test_rejects_jobs_below_one(self, capsys, command):
+        code, out, err = run_cli(capsys, *command.split(), "--k", "2", "--n-max", "3", "--jobs", "0")
+        assert code == 2 and out == ""
+        assert "--jobs" in err
+
 
 def test_module_entry_point():
     proc = subprocess.run(

@@ -134,6 +134,11 @@ class TestShortChordRow:
             assert tuple(row) == table.rows[n]
             assert row == [count_exact_short(k, n, s) for s in range(n + 1)]
 
+    def test_rejects_bad_arguments(self):
+        for k, n in ((1, 3), (0, 2), (2, -2)):
+            with pytest.raises(ValueError):
+                short_chord_row(k, n)
+
 
 class TestMean:
     def test_exact_values(self):

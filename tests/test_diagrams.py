@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     delete_block,
+    naive_crossing,
     naive_enumerate,
     naive_noncrossing_set,
     naive_stats,
@@ -18,7 +19,6 @@ from kchord import (
     Diagram,
     canonicalize,
     encode_lattice_path,
-    enumerate_diagrams,
     enumerate_noncrossing,
     fuss_catalan,
     stats,
@@ -26,7 +26,7 @@ from kchord import (
     survey_parallel,
     total_diagrams,
 )
-from kchord.diagrams import block0_placements, oracle_budget
+from kchord.diagrams import _crosses, _partitions, block0_placements, oracle_budget
 
 
 @st.composite
@@ -88,35 +88,65 @@ class TestCanonicalize:
         assert canonicalize(d.word, k).word == d.word
 
 
+def walk_words(k: int, n: int, block0: int = 0) -> list[tuple[int, ...]]:
+    """The partition walk's diagrams as label words."""
+    words = []
+
+    def visit(masks):
+        word = [0] * (k * n)
+        for label, mask in enumerate(masks):
+            for p in range(k * n):
+                if mask >> p & 1:
+                    word[p] = label
+        words.append(tuple(word))
+
+    _partitions(k * n, k, visit, block0)
+    return words
+
+
+def as_mask(positions) -> int:
+    return sum(1 << p for p in positions)
+
+
+@st.composite
+def disjoint_blocks(draw):
+    """Two disjoint position sets of sizes 1..5 within 0..15."""
+    size_a = draw(st.integers(1, 5))
+    size_b = draw(st.integers(1, 5))
+    points = draw(st.permutations(range(16)))
+    return tuple(sorted(points[:size_a])), tuple(sorted(points[size_a : size_a + size_b]))
+
+
 class TestEnumerate:
     @pytest.mark.parametrize(
         "k,n", [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)]
     )
     def test_matches_naive_enumeration(self, k, n):
-        ours = [d.word for d in enumerate_diagrams(k, n)]
-        naive = sorted(naive_enumerate(k, n))
-        assert ours == naive
+        ours = walk_words(k, n)
+        assert sorted(ours) == sorted(naive_enumerate(k, n))
         assert len(ours) == total_diagrams(k, n)
 
-    def test_lexicographic_order(self):
-        words = [d.word for d in enumerate_diagrams(2, 4)]
-        assert words == sorted(words)
-
     def test_block0_restriction(self):
-        whole = Counter(d.word for d in enumerate_diagrams(2, 3))
+        whole = Counter(walk_words(2, 3))
         split: Counter = Counter()
         for b0 in block0_placements(2, 3):
-            split.update(d.word for d in enumerate_diagrams(2, 3, block0=b0))
+            split.update(walk_words(2, 3, as_mask(b0)))
         assert whole == split
+
+    @given(disjoint_blocks())
+    @settings(max_examples=300)
+    def test_mask_crossing_matches_definition(self, blocks):
+        a, b = blocks
+        assert _crosses(as_mask(a), as_mask(b)) == naive_crossing(a, b)
 
 
 class TestStats:
     @pytest.mark.parametrize("k,n", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
     def test_agrees_with_naive_on_all_diagrams(self, k, n):
-        for d in enumerate_diagrams(k, n):
-            st_ = stats(d)
+        for word in naive_enumerate(k, n):
+            st_ = stats(Diagram(k, n, word))
             got = (st_.short_chords, st_.components, st_.noncrossing, st_.crossing_pairs)
-            assert got == naive_stats(d.word), d.word
+            assert got == naive_stats(word), word
 
     @given(random_word())
     @settings(max_examples=150)
@@ -195,6 +225,18 @@ class TestSurvey:
         hist = survey(3, 4)
         assert sum(hist.values()) == total_diagrams(3, 4)
 
+    @pytest.mark.parametrize("k,n", [(3, 3), (2, 5)])
+    def test_block0_subranges_sum_to_whole(self, k, n):
+        merged: Counter = Counter()
+        for b0 in block0_placements(k, n):
+            merged.update(survey(k, n, block0=b0))
+        assert merged == survey(k, n)
+
+    def test_rejects_bad_block0(self):
+        for bad in [(1, 2), (0, 0), (0, 6), (0, 1, 2)]:
+            with pytest.raises(ValueError):
+                survey(2, 3, block0=bad)
+
     def test_parallel_equals_serial(self):
         assert survey_parallel(3, 3, jobs=2) == survey(3, 3)
         assert survey_parallel(2, 5, jobs=3) == survey(2, 5)
@@ -209,6 +251,15 @@ class TestSurvey:
         assert oracle_budget(None) == 10
         with pytest.raises(BudgetExceededError):
             survey(2, 3)
+
+    def test_rejects_negative_budget_and_jobs(self, monkeypatch):
+        with pytest.raises(ValueError):
+            oracle_budget(-1)
+        monkeypatch.setenv("KCHORD_ORACLE_BUDGET", "-1")
+        with pytest.raises(ValueError):
+            survey(2, 3)
+        with pytest.raises(ValueError, match="jobs >= 1"):
+            survey_parallel(2, 3, jobs=0, budget=100)
 
     def test_budget_argument_wins(self, monkeypatch):
         monkeypatch.setenv("KCHORD_ORACLE_BUDGET", "10")

@@ -21,12 +21,7 @@ from kchord import (
     torus_board,
 )
 from kchord.counting import mean_short_chords
-from kchord.memory_game import (
-    connected_k_sets,
-    connected_k_subgraphs,
-    make_placement,
-    placement_stats,
-)
+from kchord.memory_game import connected_k_sets, connected_k_subgraphs
 
 
 def loop_histogram(board: Board, k: int, samples: int, seed: int, chunk_size: int) -> dict:
@@ -175,18 +170,6 @@ class TestExactStatistics:
     def test_indivisible_board_rejected(self):
         with pytest.raises(ValueError):
             exhaustive_distribution(path_board(5), 2)
-
-
-class TestPlacements:
-    def test_make_placement_and_stats(self):
-        board = grid_board(2, 2)
-        p = make_placement(board, 2, ("a", "b", "a", "b"))
-        poly, comps = placement_stats(p)
-        assert poly == 2 and comps == 1
-
-    def test_rejects_bad_assignment(self):
-        with pytest.raises(ValueError):
-            make_placement(grid_board(2, 2), 2, (0, 1, 0, 0))
 
 
 class TestSampling:

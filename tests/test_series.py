@@ -161,6 +161,20 @@ class TestGeneratingFunctions:
             for j in range(o + 1):
                 assert series.coefficient(i, j) == direct[i][j]
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda k: F_series(k, 3),
+            lambda k: C_series(k, 3),
+            lambda k: T_series(k, 3, 3),
+            lambda k: L_series(k, 3, 3),
+        ],
+    )
+    def test_rejects_block_size_below_two(self, build):
+        for k in (1, 0):
+            with pytest.raises(ValueError, match="at least 2"):
+                build(k)
+
 
 class TestTripleCounts:
     @pytest.mark.parametrize("k,n_cap", [(2, 5), (3, 4), (4, 3)])

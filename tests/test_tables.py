@@ -72,6 +72,12 @@ class TestShortChordTables:
                 want = at(s - 1) + (2 * n - s) * at(s) + (s + 1) * at(s + 1)
                 assert t.rows[n + 1][s] == want
 
+    @pytest.mark.parametrize("build", [d_table_kp1, d_table_kp2, noncrossing_table])
+    def test_rejects_bad_arguments(self, build):
+        for k, n_max in ((1, 3), (0, 3), (2, -2)):
+            with pytest.raises(ValueError):
+                build(k, n_max)
+
 
 class TestKp2Coefficients:
     def test_k3_polynomials(self):
