@@ -23,7 +23,7 @@ from .diagrams import (
     BudgetExceededError,
     canonicalize,
     encode_lattice_path,
-    enumerate_noncrossing,
+    noncrossing_survey,
     oracle_budget,
     stats as diagram_stats,
     survey,
@@ -114,17 +114,7 @@ def _nc_rows(k: int, m_max: int, route: str, budget: int | None):
         t = series.T_series(k, m_max, m_max)
         return [tuple(t.coefficient(m, s) for s in range(m + 1)) for m in range(m_max + 1)]
     if route == "oracle":
-        cap = oracle_budget(budget)
-        rows = []
-        for m in range(m_max + 1):
-            total = tables.fuss_catalan(k, m)
-            if total > cap:
-                raise BudgetExceededError(total, cap)
-            row = [0] * (m + 1)
-            for diagram in enumerate_noncrossing(k, m):
-                row[diagram_stats(diagram).short_chords] += 1
-            rows.append(tuple(row))
-        return rows
+        return noncrossing_survey(k, m_max, budget)
     raise ValueError(f"route {route!r} not applicable to the non-crossing table")
 
 
@@ -503,11 +493,15 @@ def _cmd_verify(args) -> int:
 # --- parser -------------------------------------------------------------
 
 
-def positive_int(text: str) -> int:
+def positive_int(text: str, low: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def nonnegative_int(text: str) -> int:
+    return positive_int(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -558,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oeis", help="b-file for a registered sequence")
     p.add_argument("--seq", required=True)
-    p.add_argument("--terms", type=int, default=20)
+    p.add_argument("--terms", type=nonnegative_int, default=20)
     p.add_argument("--k", type=int, default=None, help="slice parameter where required")
     p.add_argument("--offset", type=int, default=None)
     common(p)
@@ -566,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("memory", help="memory game on a board graph")
     p.add_argument("--board", required=True, help="path:M | grid:RxC | torus:RxC | file.json")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=positive_int, required=True)
     p.add_argument("--mean", action="store_true", help="exact mean polyomino count")
     p.add_argument("--exhaustive", action="store_true", help="full (polyominoes, components) histogram")
     p.add_argument("--sample", type=int, default=None, help="Monte Carlo sample count")

@@ -164,17 +164,15 @@ def component_row(k: int, n: int) -> tuple[int, ...]:
     if k < 2 or n < 0:
         raise ValueError("need k >= 2 and n >= 0")
     inner = [0] * (n + 1)
-    for ell in range(n + 1):
-        acc = 0
-        for r in range(0, min(ell, n - ell) + 1):
-            j = n - ell - r
-            term = (
-                total_diagrams(k, j)
-                * comb(k * j + 1, ell - r)
-                * comb(k * j + r, r)
-            )
-            acc += -term if r & 1 else term
-        inner[ell] = acc
+    for j in range(n + 1):  # l + r = n - j; the r-th term has C(a, n-j-2r) C(a-1+r, r)
+        a = k * j + 1
+        r = max(0, (n - j - a + 1) // 2)  # first r with n-j-2r <= a
+        t = n - j - 2 * r
+        term = total_diagrams(k, j) * comb(a, t) * comb(a - 1 + r, r) if t >= 0 else 0
+        while t >= 0:
+            inner[n - j - r] += -term if r & 1 else term
+            term = term * t * (t - 1) * (a + r) // ((a - t + 2) * (a - t + 1) * (r + 1))
+            r, t = r + 1, t - 2
     return tuple(inverse_binomial_transform(inner))
 
 

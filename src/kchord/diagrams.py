@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Hashable, Iterator, Sequence
 
 DEFAULT_ORACLE_BUDGET = 10**7
@@ -261,63 +261,70 @@ def encode_lattice_path(diagram: Diagram) -> LatticePath:
     return LatticePath("".join("D" if lasts >> p & 1 else "U" for p in range(len(diagram.word))))
 
 
+def _noncrossing_masks(k: int, m_max: int) -> Iterator[tuple[int, ...]]:
+    """Yield every non-crossing diagram of at most ``m_max`` blocks as
+    block bitmasks in order of their lowest vertex, level by level.
+
+    Vertex 0's block sits at p_0 = 0 < p_1 < ... < p_{k-1}.  The gap
+    after p_i holds k*g_i vertices, g_0 + ... + g_{k-1} = m - 1 (a
+    composition drawn by stars and bars), filled by a smaller
+    non-crossing diagram shifted into place.  The levels below ``m_max``
+    are kept for the gaps; level ``m_max`` is streamed and not stored.
+    """
+    levels: list[list[tuple[int, ...]]] = [[()]]
+    yield ()
+    for m in range(1, m_max + 1):
+        level = []
+        slots = m + k - 2  # m - 1 stars and k - 1 bars
+        for bars in combinations(range(slots), k - 1):
+            block, p, parts = 0, 0, []
+            for lo, hi in zip((-1,) + bars, bars + (slots,)):
+                g = hi - lo - 1
+                block |= 1 << p
+                parts.append([tuple(x << (p + 1) for x in sub) for sub in levels[g]])
+                p += k * g + 1
+            for pick in product(*parts):
+                masks = sum(pick, (block,))
+                if m < m_max:
+                    level.append(masks)
+                yield masks
+        levels.append(level)
+
+
 def enumerate_noncrossing(k: int, n: int) -> Iterator[Diagram]:
     """Yield every non-crossing diagram exactly once.
 
-    Recursive construction: the block holding the final position splits
-    the rest into a left region plus k-1 arches, each holding a smaller
-    non-crossing diagram.  The total count is the Fuss-Catalan number.
+    Block i of the walk's masks is label i, so each word is canonical as
+    built.  The total count is the Fuss-Catalan number.
     """
     if k < 2 or n < 0:
         raise ValueError("need k >= 2 and n >= 0")
-
-    memo: dict[int, list[tuple[int, ...]]] = {}
-
-    def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    def build(m: int) -> list[tuple[int, ...]]:
-        if m in memo:
-            return memo[m]
-        if m == 0:
-            memo[0] = [()]
-            return memo[0]
-        out: list[tuple[int, ...]] = []
-        for comp in compositions(m - 1, k):
-            subs = [build(c) for c in comp]
-            for pick in _product_lists(subs):
-                word: list[int] = []
-                base = 0
-                regions = []
-                for sub in pick:
-                    regions.append([lab + base for lab in sub])
-                    base += max(sub, default=-1) + 1
-                new = base
-                word.extend(regions[0])
-                for region in regions[1:]:
-                    word.append(new)
-                    word.extend(region)
-                word.append(new)
-                out.append(canonicalize(word, k).word)
-        memo[m] = out
-        return out
-
-    for w in build(n):
-        yield Diagram(k, n, w)
+    for masks in _noncrossing_masks(k, n):
+        if len(masks) == n:
+            word = (label for p in range(k * n) for label, m in enumerate(masks) if m >> p & 1)
+            yield Diagram(k, n, tuple(word))
 
 
-def _product_lists(lists: list[list[tuple[int, ...]]]) -> Iterator[list[tuple[int, ...]]]:
-    if not lists:
-        yield []
-        return
-    for head in lists[0]:
-        for tail in _product_lists(lists[1:]):
-            yield [head] + tail
+def noncrossing_survey(k: int, m_max: int, budget: int | None = None) -> list[tuple[int, ...]]:
+    """Brute-force non-crossing diagrams by short chords, rows m = 0..m_max.
+
+    One walk up to ``m_max``; a diagram is counted only when
+    ``_linear_stats`` finds all its m blocks non-crossing, so a fault of
+    the walk shows as a row summing short of Fuss-Catalan.
+    """
+    from .tables import fuss_catalan
+
+    if k < 2 or m_max < 0:
+        raise ValueError("need k >= 2 and m_max >= 0")
+    cap = oracle_budget(budget)
+    if fuss_catalan(k, m_max) > cap:
+        raise BudgetExceededError(fuss_catalan(k, m_max), cap)
+    rows = [[0] * (m + 1) for m in range(m_max + 1)]
+    for masks in _noncrossing_masks(k, m_max):
+        shorts, _components, noncrossing = _linear_stats(masks)
+        if noncrossing == len(masks):
+            rows[noncrossing][shorts] += 1
+    return [tuple(row) for row in rows]
 
 
 def _partitions(vertices: int, k: int, visit: Callable[[list[int]], None], block0: int = 0) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import C_TABLE_K3, D_TABLE_K3, T_TABLE_K3
-from kchord import total_diagrams
+from kchord import fuss_catalan, total_diagrams
 from kchord.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -101,6 +101,20 @@ class TestTable:
             "--n-max", "6", "--route", "oracle", "--budget", "1000",
         )
         assert code == 3 and "budget" in err
+
+    @pytest.mark.parametrize("k,m_max,fmt", [(3, 8, "json"), (2, 10, "csv"), (4, 6, "bfile")])
+    def test_nc_oracle_matches_recurrence(self, capsys, k, m_max, fmt):
+        argv = ["table", "--k", str(k), "--stat", "nc-short", "--n-max", str(m_max), "--format", fmt]
+        code, oracle, _ = run_cli(capsys, *argv, "--route", "oracle")
+        assert code == 0
+        assert oracle == run_cli(capsys, *argv, "--route", "recurrence")[1]
+
+    def test_nc_oracle_budget(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "--k", "3", "--stat", "nc-short",
+            "--n-max", "6", "--route", "oracle", "--budget", str(fuss_catalan(3, 6) - 1),
+        )
+        assert code == 3 and out == "" and "budget" in err
 
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("KCHORD_ORACLE_BUDGET", "100")
@@ -212,6 +226,15 @@ class TestOeis:
         assert values == [1, 1, 3, 12, 55, 273]
         assert out.startswith("0 1\n")
 
+    def test_rejects_negative_terms(self, capsys):
+        code, out, err = run_cli(capsys, "oeis", "--seq", "A334056", "--terms", "-1")
+        assert code == 2 and out == ""
+        assert "--terms" in err
+
+    def test_zero_terms(self, capsys):
+        code, out, _ = run_cli(capsys, "oeis", "--seq", "A334056", "--terms", "0")
+        assert code == 0 and out == ""
+
     def test_unknown_sequence(self, capsys):
         code, _, err = run_cli(capsys, "oeis", "--seq", "A000001")
         assert code == 2 and "unknown sequence" in err
@@ -258,6 +281,13 @@ class TestMemory:
         )
         assert code == 2 and out == ""
         assert "2^63" in err
+
+    @pytest.mark.parametrize("mode", ["--mean", "--exhaustive", ""])
+    def test_rejects_k_below_one(self, capsys, mode):
+        argv = ["memory", "--board", "path:5", "--k", "0"] + mode.split()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--k" in err and "at least 1" in err
 
     def test_exhaustive_budget(self, capsys):
         code, _, err = run_cli(

@@ -26,7 +26,13 @@ from kchord import (
     survey_parallel,
     total_diagrams,
 )
-from kchord.diagrams import _crosses, _partitions, block0_placements, oracle_budget
+from kchord.diagrams import (
+    _crosses,
+    _partitions,
+    block0_placements,
+    noncrossing_survey,
+    oracle_budget,
+)
 
 
 @st.composite
@@ -278,11 +284,23 @@ class TestNoncrossing:
         assert len(seen) == fuss_catalan(k, m)
 
     def test_matches_filtered_enumeration(self):
-        want = {
-            w for w in naive_enumerate(3, 3) if naive_stats(w)[2] == 3
-        }
-        got = {d.word for d in enumerate_noncrossing(3, 3)}
-        assert got == want
+        for k, m in [(3, 3), (2, 5), (3, 4), (4, 3), (5, 2)]:
+            want = {w for w in naive_enumerate(k, m) if naive_stats(w)[2] == m}
+            got = [d.word for d in enumerate_noncrossing(k, m)]
+            assert len(got) == len(want) and set(got) == want, (k, m)
+
+    @pytest.mark.parametrize("k,m_max", [(2, 5), (3, 3), (4, 2)])
+    def test_survey_rows_match_naive(self, k, m_max):
+        for m, row in enumerate(noncrossing_survey(k, m_max)):
+            shorts = [naive_stats(w)[0] for w in naive_enumerate(k, m) if naive_stats(w)[2] == m]
+            assert row == tuple(Counter(shorts)[s] for s in range(m + 1))
+
+    def test_survey_budget(self):
+        assert sum(noncrossing_survey(3, 4, budget=fuss_catalan(3, 4))[4]) == 55
+        with pytest.raises(BudgetExceededError):
+            noncrossing_survey(3, 4, budget=fuss_catalan(3, 4) - 1)
+        with pytest.raises(ValueError):
+            noncrossing_survey(1, 3)
 
 
 class TestLatticePath:
