@@ -49,7 +49,7 @@ from .memory_game import (
     sample_placements,
     torus_board,
 )
-from .series import BivariateSeries, C_series, F_series, L_series, T_series, triple_count
+from .series import BivariateSeries, C_series, F_series, L_series, T_series
 from .tables import (
     CountTable,
     d_table_kp1,
@@ -106,7 +106,6 @@ __all__ = [
     "survey_parallel",
     "torus_board",
     "total_diagrams",
-    "triple_count",
     "tv_distance_interval",
     "__version__",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import counting, tables
 
@@ -77,6 +77,29 @@ def _exp_neg_interval(lam: Fraction) -> tuple[Fraction, Fraction]:
         prev = partial
 
 
+def _poisson_masses(lam: Fraction) -> Iterator[tuple[int, int]]:
+    """Yield dyadic brackets (lo, hi) of the Poisson(lam) masses at
+    j = 0, 1, 2, ..., as integers scaled by 2^PRECISION_BITS.
+
+    lo / 2^PRECISION_BITS <= (lam^j / j!) * exp_lo and
+    hi / 2^PRECISION_BITS >= (lam^j / j!) * exp_hi, with (exp_lo, exp_hi)
+    the bracket of e^(-lam) from ``_exp_neg_interval``: every rounding
+    floors a lower bound and ceils an upper one.
+    """
+    one = 1 << PRECISION_BITS
+    exp_lo, exp_hi = _exp_neg_interval(lam)
+    e_lo = exp_lo.numerator * one // exp_lo.denominator
+    e_hi = -(-exp_hi.numerator * one // exp_hi.denominator)
+    a, b = lam.numerator, lam.denominator
+    w_lo = w_hi = one  # bounds on lam^j / j!, scaled
+    j = 0
+    while True:
+        yield w_lo * e_lo // one, -(-w_hi * e_hi // one)
+        j += 1
+        w_lo = w_lo * a // (b * j)
+        w_hi = -(-w_hi * a // (b * j))
+
+
 def tv_distance_interval(
     row: Sequence[int], lam: Fraction, tail_tolerance: Fraction = TAIL_TOLERANCE
 ) -> tuple[Fraction, Fraction]:
@@ -95,18 +118,12 @@ def tv_distance_interval(
     if total <= 0:
         raise ValueError("empty distribution")
     one = 1 << PRECISION_BITS
-    exp_lo, exp_hi = _exp_neg_interval(lam)
-    e_lo = exp_lo.numerator * one // exp_lo.denominator
-    e_hi = -(-exp_hi.numerator * one // exp_hi.denominator)
     tail_bound = tail_tolerance * one
-    a, b = lam.numerator, lam.denominator
-    w_lo = w_hi = one  # bounds on lam^j / j!, scaled
     sum_lo = sum_hi = 0
     dist_lo = dist_hi = 0
-    j = 0
-    while True:
-        q_lo = w_lo * e_lo // one
-        q_hi = -(-w_hi * e_hi // one)
+    for j, (q_lo, q_hi) in enumerate(_poisson_masses(lam)):
+        if j > 10_000:
+            raise ArithmeticError("Poisson tail failed to shrink")
         sum_lo += q_lo
         sum_hi += q_hi
         count = row[j] if j < len(row) else 0
@@ -118,11 +135,6 @@ def tv_distance_interval(
         tail_hi = one - sum_lo
         if j >= len(row) - 1 and j >= lam and tail_hi < tail_bound:
             break
-        j += 1
-        if j > 10_000:
-            raise ArithmeticError("Poisson tail failed to shrink")
-        w_lo = w_lo * a // (b * j)
-        w_hi = -(-w_hi * a // (b * j))
     tail_lo = max(0, one - sum_hi)
     # A total-variation distance is at most 1, whatever the rounding adds.
     upper = min(dist_hi + tail_hi, 2 * one)

@@ -248,6 +248,8 @@ def _cmd_oeis(args) -> int:
     if stat == "fuss":
         if args.k is None:
             raise ValueError(f"{args.seq} is a family of slices; pass --k")
+        if args.k < 2:
+            raise ValueError(f"--k must be at least 2 for {args.seq}, got {args.k}")
         offset = args.offset if args.offset is not None else 0
         values = [tables.fuss_catalan(args.k, m) for m in range(args.terms)]
     else:
@@ -324,6 +326,8 @@ def _cmd_memory(args) -> int:
 def _board_from_file(path: str) -> memory_game.Board:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict) or not {"vertices", "edges"} <= data.keys():
+        raise ValueError(f"{path}: a board file is a JSON object with 'vertices' and 'edges'")
     return memory_game.board_from_edges(data["vertices"], data["edges"], label=path)
 
 

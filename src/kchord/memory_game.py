@@ -10,6 +10,7 @@ chords and the components coincide.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -99,11 +100,28 @@ def torus_board(rows: int, cols: int) -> Board:
 
 def board_from_edges(vertex_count: int, edges: Sequence[Sequence[int]], label: str = "") -> Board:
     """Explicit edge-list board; endpoints are ordered, lists deduplicated
-    only by validation (a repeated edge is an input error)."""
-    normalized = tuple(
-        (int(u), int(v)) if u <= v else (int(v), int(u)) for u, v in edges
-    )
-    return Board(vertex_count, normalized, label or f"edges:{vertex_count}")
+    only by validation (a repeated edge is an input error).  The count
+    and the endpoints must be integers and every edge a pair, since the
+    arguments may come straight from a user's JSON file."""
+    count = _integer(vertex_count, "vertex count")
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError(f"edges must be a list of vertex pairs, got {edges!r}")
+    normalized = []
+    for edge in edges:
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            raise ValueError(f"edge {edge!r} is not a pair of vertices")
+        u, v = (_integer(end, "edge endpoint") for end in edge)
+        normalized.append((u, v) if u <= v else (v, u))
+    return Board(count, tuple(normalized), label or f"edges:{count}")
+
+
+def _integer(value, what: str) -> int:
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def board_from_spec(text: str) -> Board:

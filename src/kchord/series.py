@@ -198,27 +198,42 @@ def F_series(k: int, n_max: int) -> BivariateSeries:
 
     The coefficient of w^n z^s is the number of diagrams with n blocks
     and s short chords.  Formal only; the sum diverges as a function.
+    Each denominator expands as sum_i C(kj+i, i) (-u)^i with u = w(1-z),
+    so the powers of -u are computed once and shared by every j.
     """
     _check_k(k)
     names = ("w", "z")
-    u = BivariateSeries.monomial(n_max, n_max, 1, 0, 1, names) + BivariateSeries.monomial(
-        n_max, n_max, 1, 1, -1, names
+    neg_u = BivariateSeries.monomial(n_max, n_max, 1, 0, -1, names) + BivariateSeries.monomial(
+        n_max, n_max, 1, 1, 1, names
     )
-    total = BivariateSeries.zero(n_max, n_max, names)
+    # (-u)^i = w^i (z-1)^i: row i is its only nonzero row.
+    power_rows = []
+    power = BivariateSeries.one(n_max, n_max, names)
+    for i in range(n_max + 1):
+        power_rows.append(power.coeffs[i])
+        if i < n_max:
+            power = neg_u * power
+    out = [[0] * (n_max + 1) for _ in range(n_max + 1)]
     for j in range(n_max + 1):
-        term = neg_binomial_expand(u, k * j + 1)
-        wj = BivariateSeries.monomial(n_max, n_max, j, 0, total_diagrams(k, j), names)
-        total = total + wj * term
-    return total
+        weight = total_diagrams(k, j)
+        for i in range(n_max - j + 1):
+            c = weight * comb(k * j + i, i)
+            target = out[i + j]
+            for s, a in enumerate(power_rows[i]):
+                if a:
+                    target[s] += c * a
+    return BivariateSeries(n_max, n_max, out, names)
 
 
 def C_series(k: int, n_max: int) -> BivariateSeries:
     """Component generating series, truncated at (n_max, n_max).
 
-        C(y, z) = sum_j N(k, j) y^j ((1 - y(1-z)) / (1 - y^2 (1-z)))^(kj+1)
+        C(y, z) = sum_j N(k, j) y^j Q^(kj+1),  Q = (1 - y(1-z)) / (1 - y^2 (1-z))
 
     The coefficient of y^n z^q is the number of diagrams with n blocks
-    whose short chords form exactly q maximal runs.
+    whose short chords form exactly q maximal runs.  Q^(kj+1) is carried
+    from j to j+1 by one product with Q^k; the term is multiplied by
+    y^j, so that product only needs y-degree n_max - j - 1.
     """
     _check_k(k)
     names = ("y", "z")
@@ -230,49 +245,80 @@ def C_series(k: int, n_max: int) -> BivariateSeries:
     denom_u = BivariateSeries.monomial(n_max, n_max, 2, 0, -1, names) + BivariateSeries.monomial(
         n_max, n_max, 2, 1, 1, names
     )
-    total = BivariateSeries.zero(n_max, n_max, names)
+    q = numer * neg_binomial_expand(denom_u, 1)
+    qk = q.pow(k)
+    power = q
+    out = [[0] * (n_max + 1) for _ in range(n_max + 1)]
     for j in range(n_max + 1):
-        factor = numer.pow(k * j + 1) * neg_binomial_expand(denom_u, k * j + 1)
-        yj = BivariateSeries.monomial(n_max, n_max, j, 0, total_diagrams(k, j), names)
-        total = total + yj * factor
-    return total
+        weight = total_diagrams(k, j)
+        for i, row in enumerate(power.coeffs):
+            target = out[i + j]
+            for s, a in enumerate(row):
+                if a:
+                    target[s] += weight * a
+        if j < n_max:
+            # Q has z-degree <= y-degree, so z is cut where y is.
+            rest = n_max - j - 1
+            power = _truncate(power, rest, rest) * _truncate(qk, rest, rest)
+    return BivariateSeries(n_max, n_max, out, names)
 
 
 def T_series(k: int, order1: int, order2: int) -> BivariateSeries:
-    """Non-crossing diagram series, the fixpoint of
+    """Non-crossing diagram series, the root of
 
-        T = 1 + x T^k - x (1 - y) T.
+        G(T) = T - 1 - x T^k + x (1 - y) T = 0
 
-    Each substitution pass fixes one more x-degree, so order1 passes
-    converge the truncation.  Coefficient of x^m y^s: non-crossing
-    diagrams with m blocks and s short chords.
+    with T = 1 + O(x).  Coefficient of x^m y^s: non-crossing diagrams
+    with m blocks and s short chords.
+
+    Newton iteration T <- T - G(T) R doubles the number of exact
+    x-degrees at each step (Brent & Kung, JACM 1978).  R approximates
+    1/G'(T), with G'(T) = 1 + x((1 - y) - k T^(k-1)), and is refined
+    alongside by R <- R (2 - G'(T) R).  A step that makes T exact below
+    x^(2p) needs R only below x^p, so R is refined from the T^(k-1)
+    that the step computes anyway.  Every step works at its own
+    truncation; since s <= m, the y-order never needs to exceed it.
     """
     _check_k(k)
     names = ("x", "y")
-    one = BivariateSeries.one(order1, order2, names)
-    x = BivariateSeries.monomial(order1, order2, 1, 0, 1, names)
-    x_one_minus_y = x + BivariateSeries.monomial(order1, order2, 1, 1, -1, names)
-    t = one
-    for _ in range(order1):
-        t = one + x * t.pow(k) - x_one_minus_y * t
-    return t
+    t = r = BivariateSeries.one(0, 0, names)
+    exact = 1  # t and r are exact below x^exact
+    while exact <= order1:
+        top = min(2 * exact, order1 + 1) - 1
+        top2 = min(order2, top)
+        t = _truncate(t, top, top2)
+        low = _truncate(t, top - 1, top2)
+        one_minus_y = BivariateSeries.one(top - 1, top2, names) - BivariateSeries.monomial(
+            top - 1, top2, 0, 1, 1, names
+        )
+        low_pow = low.pow(k - 1)
+        if exact > 1:
+            # R <- R (2 - G'(T) R), now exact below x^exact; R = 1 is exact below x.
+            r_top, r_top2 = exact - 1, min(order2, exact - 1)
+            g_prime = BivariateSeries.one(r_top, r_top2, names) + _times_x(
+                _truncate(one_minus_y - low_pow.scale(k), r_top - 1, r_top2)
+            )
+            r = _truncate(r, r_top, r_top2)
+            r = r * (BivariateSeries.monomial(r_top, r_top2, 0, 0, 2, names) - g_prime * r)
+        g = t - BivariateSeries.one(top, top2, names) - _times_x(low_pow * low - one_minus_y * low)
+        t = t - g * _truncate(r, top, top2)
+        exact = top + 1
+    return _truncate(t, order1, order2)
 
 
-def triple_count(k: int, n: int, shorts: int, noncrossing: int) -> int:
-    """Diagrams with the given short-chord and non-crossing-chord counts.
+def _truncate(s: BivariateSeries, order1: int, order2: int) -> BivariateSeries:
+    """``s`` truncated at (order1, order2), padded with zeros where that
+    lies beyond its own truncation."""
+    pad = [0] * max(0, order2 - s.order2)
+    rows = [list(row[: order2 + 1]) + pad for row in s.coeffs[: order1 + 1]]
+    rows += [[0] * (order2 + 1) for _ in range(order1 - s.order1)]
+    return BivariateSeries(order1, order2, rows, s.var_names)
 
-    [x^m y^s] T(x,y)^(k(n-m)+1) * count_zero_short(k, n-m), with m the
-    non-crossing count: the k(n-m) vertices of the remainder (the blocks
-    that are not non-crossing) leave k(n-m)+1 gaps, each holding an
-    independent non-crossing diagram, while the remainder contracts to a
-    short-chord-free diagram.
-    """
-    m = noncrossing
-    if not 0 <= shorts <= m <= n:
-        return 0
-    t = T_series(k, m, shorts)
-    power = t.pow(k * (n - m) + 1)
-    return power.coefficient(m, shorts) * count_zero_short(k, n - m)
+
+def _times_x(s: BivariateSeries) -> BivariateSeries:
+    """x * s as a shift by one row, truncated one x-degree above s."""
+    rows = [[0] * (s.order2 + 1)] + [list(row) for row in s.coeffs]
+    return BivariateSeries(s.order1 + 1, s.order2, rows, s.var_names)
 
 
 def triple_table(k: int, n: int) -> list[list[int]]:

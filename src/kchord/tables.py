@@ -230,6 +230,6 @@ def fuss_catalan(k: int, m: int) -> int:
     >>> [fuss_catalan(3, m) for m in range(6)]
     [1, 1, 3, 12, 55, 273]
     """
-    if m < 0:
-        raise ValueError("need m >= 0")
+    if k < 2 or m < 0:
+        raise ValueError("need k >= 2 and m >= 0")
     return comb(k * m, m) // ((k - 1) * m + 1)

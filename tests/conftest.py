@@ -1,7 +1,10 @@
 """Shared helpers: naive reference implementations and frozen tables.
 
 The naive functions here are deliberately slow and literal.  They share
-no code with the package and serve as independent oracles.
+no code with the package and serve as independent oracles, except the
+series oracles at the end, which expand the generating functions term by
+term on the package's ``BivariateSeries`` arithmetic (itself checked
+against a naive product in test_series).
 """
 
 from __future__ import annotations
@@ -9,6 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+
+from kchord import BivariateSeries, total_diagrams
+from kchord.series import neg_binomial_expand
 
 # Reference values for k=3, frozen.
 # d(n, s): diagrams with exactly s short blocks.
@@ -203,3 +209,49 @@ def fraction_tv_interval(row, lam, tail_tolerance=Fraction(1, 10**12)):
         else:
             dist_hi += max(q_hi - p, p - q_lo)
     return (dist_lo + q_tail_lo) / 2, (dist_hi + q_tail_hi) / 2
+
+
+def fixpoint_T_series(k, order1, order2):
+    """T = 1 + x T^k - x (1 - y) T by substitution: each pass fixes one
+    more x-degree, so order1 passes converge the truncation."""
+    names = ("x", "y")
+    one = BivariateSeries.one(order1, order2, names)
+    x = BivariateSeries.monomial(order1, order2, 1, 0, 1, names)
+    x_one_minus_y = x + BivariateSeries.monomial(order1, order2, 1, 1, -1, names)
+    t = one
+    for _ in range(order1):
+        t = one + x * t.pow(k) - x_one_minus_y * t
+    return t
+
+
+def per_j_F_series(k, n_max):
+    """sum_j N(k, j) w^j (1 + w(1-z))^-(kj+1), one expansion per j."""
+    names = ("w", "z")
+    u = BivariateSeries.monomial(n_max, n_max, 1, 0, 1, names) + BivariateSeries.monomial(
+        n_max, n_max, 1, 1, -1, names
+    )
+    total = BivariateSeries.zero(n_max, n_max, names)
+    for j in range(n_max + 1):
+        wj = BivariateSeries.monomial(n_max, n_max, j, 0, total_diagrams(k, j), names)
+        total = total + wj * neg_binomial_expand(u, k * j + 1)
+    return total
+
+
+def per_j_C_series(k, n_max):
+    """sum_j N(k, j) y^j ((1 - y(1-z)) / (1 - y^2(1-z)))^(kj+1), with a
+    fresh power and expansion per j."""
+    names = ("y", "z")
+    numer = (
+        BivariateSeries.one(n_max, n_max, names)
+        + BivariateSeries.monomial(n_max, n_max, 1, 0, -1, names)
+        + BivariateSeries.monomial(n_max, n_max, 1, 1, 1, names)
+    )
+    denom_u = BivariateSeries.monomial(n_max, n_max, 2, 0, -1, names) + BivariateSeries.monomial(
+        n_max, n_max, 2, 1, 1, names
+    )
+    total = BivariateSeries.zero(n_max, n_max, names)
+    for j in range(n_max + 1):
+        factor = numer.pow(k * j + 1) * neg_binomial_expand(denom_u, k * j + 1)
+        yj = BivariateSeries.monomial(n_max, n_max, j, 0, total_diagrams(k, j), names)
+        total = total + yj * factor
+    return total

@@ -20,6 +20,7 @@ from kchord import (
 from kchord.asymptotics import (
     PRECISION_BITS,
     _exp_neg_interval,
+    _poisson_masses,
     decimal_str,
     factorial_moment,
 )
@@ -92,6 +93,23 @@ class TestTvDistance:
         tv = (tv + (1.0 - mass)) / 2
         lo, hi = tv_distance_interval(row, Fraction(1))
         assert abs(float((lo + hi) / 2) - tv) < 1e-9
+
+    @given(st.fractions(min_value=0, max_value=6, max_denominator=1000))
+    @example(Fraction(1))
+    @example(Fraction(2, 27))
+    @example(Fraction(7, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_each_poisson_mass_bracket_rounds_outward(self, lam):
+        # Each scaled term must hold lam^j/j! times the e^(-lam) bracket
+        # on its own; a floored upper mass or a ceiled lower one slips
+        # below or above it by an ulp, which the sums can hide.
+        one = 1 << PRECISION_BITS
+        exp_lo, exp_hi = _exp_neg_interval(lam)
+        weight = Fraction(1)
+        for j, (q_lo, q_hi) in zip(range(60), _poisson_masses(lam)):
+            assert q_lo <= weight * exp_lo * one, (lam, j)
+            assert q_hi >= weight * exp_hi * one, (lam, j)
+            weight *= lam / (j + 1)
 
     def test_agrees_with_fraction_oracle(self):
         row = d_table_kp2(3, 30).rows[30]

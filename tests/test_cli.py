@@ -198,6 +198,14 @@ class TestSeries:
         # row-major: coefficient of x^2 y^1 sits at 2*5 + 1
         assert data["coeffs"][2 * 5 + 1] == str(T_TABLE_K3[2][0])
 
+    @pytest.mark.parametrize("k, gf, order", [(3, "T", 30), (4, "F", 25), (3, "C", 20)])
+    def test_golden_output(self, capsys, k, gf, order):
+        # frozen from the substitution fixpoint and per-j expansions
+        code, out, _ = run_cli(capsys, "series", "--k", str(k), "--gf", gf, "--order", str(order))
+        assert code == 0
+        fixture = FIXTURES / "series" / f"k{k}_{gf}_{order}.json"
+        assert out == fixture.read_text(encoding="utf-8")
+
     def test_F_series_coefficients(self, capsys):
         code, out, _ = run_cli(capsys, "series", "--k", "3", "--gf", "F", "--order", "3")
         data = json.loads(out)
@@ -225,6 +233,12 @@ class TestOeis:
         values = [int(line.split()[1]) for line in out.strip().split("\n")]
         assert values == [1, 1, 3, 12, 55, 273]
         assert out.startswith("0 1\n")
+
+    @pytest.mark.parametrize("k", ["1", "0", "-2"])
+    def test_fuss_slice_rejects_k_below_two(self, capsys, k):
+        code, out, err = run_cli(capsys, "oeis", "--seq", "A062993", "--k", k, "--terms", "4")
+        assert code == 2 and out == ""
+        assert err == f"error: --k must be at least 2 for A062993, got {k}\n"
 
     def test_rejects_negative_terms(self, capsys):
         code, out, err = run_cli(capsys, "oeis", "--seq", "A334056", "--terms", "-1")
@@ -274,6 +288,26 @@ class TestMemory:
         )
         data = json.loads(out)
         assert data["connected_k_subgraphs"] == 3
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[]",
+            '{"vertices": "x", "edges": []}',
+            '{"vertices": 4}',
+            '{"vertices": 4, "edges": 5}',
+            '{"vertices": 4, "edges": [[0, 1, 2]]}',
+            '{"vertices": 4, "edges": [["0", "1"]]}',
+            '{"vertices": 4, "edges": [[0, 9]]}',
+            "{not json",
+        ],
+    )
+    def test_rejects_malformed_board_file(self, capsys, tmp_path, content):
+        spec = tmp_path / "board.json"
+        spec.write_text(content)
+        code, out, err = run_cli(capsys, "memory", "--board", str(spec), "--k", "2", "--mean")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_sample_board_too_large(self, capsys):
         code, out, err = run_cli(

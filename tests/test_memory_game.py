@@ -107,6 +107,14 @@ class TestBoards:
         b = board_from_edges(4, [(2, 0), (1, 3)])
         assert (0, 2) in b.edges and (1, 3) in b.edges
 
+    @pytest.mark.parametrize(
+        "count, edges",
+        [("x", []), (2.0, []), (True, []), (4, 5), (4, [(0,)]), (4, [(0, 1.5)]), (4, ["01"])],
+    )
+    def test_from_edges_rejects_malformed_input(self, count, edges):
+        with pytest.raises(ValueError, match="must be|pair"):
+            board_from_edges(count, edges)
+
 
 class TestConnectedSets:
     @pytest.mark.parametrize(

@@ -3,10 +3,16 @@ from __future__ import annotations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_enumerate, naive_stats
+from conftest import (
+    fixpoint_T_series,
+    naive_enumerate,
+    naive_stats,
+    per_j_C_series,
+    per_j_F_series,
+)
 from kchord import (
     BivariateSeries,
     C_series,
@@ -16,7 +22,6 @@ from kchord import (
     d_table_kp2,
     noncrossing_table,
     total_diagrams,
-    triple_count,
 )
 from kchord.counting import component_row, triple_count_closed_k2
 from kchord.series import neg_binomial_expand, triple_table
@@ -143,6 +148,27 @@ class TestGeneratingFunctions:
             rhs = one + x * t.pow(k) - x * (one - y) * t
             assert t == rhs
 
+    @given(st.integers(2, 5), st.integers(0, 9), st.integers(0, 11))
+    @example(2, 0, 0)
+    @example(3, 0, 4)
+    @example(4, 7, 1)
+    @example(5, 9, 9)
+    @settings(max_examples=60, deadline=None)
+    def test_T_newton_matches_fixpoint(self, k, order1, order2):
+        assert T_series(k, order1, order2) == fixpoint_T_series(k, order1, order2)
+
+    @given(st.integers(2, 5), st.integers(0, 9))
+    @example(2, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_F_shared_powers_match_per_j_expansion(self, k, n_max):
+        assert F_series(k, n_max) == per_j_F_series(k, n_max)
+
+    @given(st.integers(2, 5), st.integers(0, 9))
+    @example(2, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_C_carried_power_matches_per_j_expansion(self, k, n_max):
+        assert C_series(k, n_max) == per_j_C_series(k, n_max)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_L_counts_short_only_unions(self, k):
         # coefficient of x^i y^j: diagrams made of j blocks covering i
@@ -188,9 +214,6 @@ class TestTripleCounts:
             for m in range(n + 1):
                 for s in range(m + 1):
                     assert table[m][s] == want.get((m, s), 0), (k, n, m, s)
-
-    def test_single_entry_matches_table(self):
-        assert triple_count(3, 4, 1, 2) == triple_table(3, 4)[2][1]
 
     def test_total_mass(self):
         for k, n in [(2, 6), (3, 5)]:

@@ -155,6 +155,11 @@ class TestFussCatalan:
     def test_closed_form(self, k, m):
         assert fuss_catalan(k, m) == comb(k * m, m) // ((k - 1) * m + 1)
 
+    @pytest.mark.parametrize("k, m", [(1, 3), (0, 3), (-2, 3), (3, -1)])
+    def test_rejects_bad_arguments(self, k, m):
+        with pytest.raises(ValueError, match="need k >= 2 and m >= 0"):
+            fuss_catalan(k, m)
+
     def test_recursion(self):
         # the k-fold convolution of the sequence shifts it by one
         k = 4
