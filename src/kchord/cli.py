@@ -14,9 +14,10 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from fractions import Fraction
+from itertools import zip_longest
 
 from . import asymptotics, counting, memory_game, series, tables
 from .diagrams import (
@@ -26,17 +27,60 @@ from .diagrams import (
     noncrossing_survey,
     oracle_budget,
     stats as diagram_stats,
-    survey,
     survey_parallel,
 )
 
-STATS = ("short", "components", "nc-short")
-ROUTE_ALIASES = {"closed_form": "closed", "closed-form": "closed"}
-ROUTES_BY_STAT = {
-    "short": ("closed", "kp1", "kp2", "series", "oracle"),
-    "components": ("closed", "series", "oracle"),
-    "nc-short": ("recurrence", "series", "oracle"),
+# --- table construction by route ---------------------------------------
+
+
+def _coefficient_rows(gf, n_max: int) -> list[tuple[int, ...]]:
+    return [tuple(gf.coefficient(n, j) for j in range(n + 1)) for n in range(n_max + 1)]
+
+
+def _fold(hist, n: int, coord) -> tuple[int, ...]:
+    """Row n of one statistic, read off an oracle histogram keyed (s, q, m).
+
+    ``coord`` "s" counts diagrams by short chords and "q" by components.
+    An integer coord counts by short chords only the diagrams with that
+    many non-crossing blocks; coord n gives the non-crossing row.
+    """
+    row = [0] * (n + 1)
+    for (s, q, m), count in hist.items():
+        if coord == "q":
+            row[q] += count
+        elif coord == "s" or coord == m:
+            row[s] += count
+    return tuple(row)
+
+
+def _oracle_rows(coord: str, k: int, n_max: int, jobs: int, budget: int | None):
+    return [_fold(survey_parallel(k, n, jobs=jobs, budget=budget), n, coord) for n in range(n_max + 1)]
+
+
+# stat -> route -> rows(k, n_max, jobs, budget): rows 0..n_max (m_max for
+# nc-short).  Each route is its own derivation.  Builders are looked up
+# when a route runs, so a replaced module function is the one called.
+ROUTES = {
+    "short": {
+        "closed": lambda k, n_max, *_: [tuple(counting.short_chord_row(k, n)) for n in range(n_max + 1)],
+        "kp1": lambda k, n_max, *_: list(tables.d_table_kp1(k, n_max).rows),
+        "kp2": lambda k, n_max, *_: list(tables.d_table_kp2(k, n_max).rows),
+        "series": lambda k, n_max, *_: _coefficient_rows(series.F_series(k, n_max), n_max),
+        "oracle": lambda *args: _oracle_rows("s", *args),
+    },
+    "components": {
+        "closed": lambda k, n_max, *_: [counting.component_row(k, n) for n in range(n_max + 1)],
+        "series": lambda k, n_max, *_: _coefficient_rows(series.C_series(k, n_max), n_max),
+        "oracle": lambda *args: _oracle_rows("q", *args),
+    },
+    "nc-short": {
+        "recurrence": lambda k, m_max, *_: list(tables.noncrossing_table(k, m_max).rows),
+        "series": lambda k, m_max, *_: _coefficient_rows(series.T_series(k, m_max, m_max), m_max),
+        "oracle": lambda k, m_max, _jobs, budget: noncrossing_survey(k, m_max, budget),
+    },
 }
+STATS = tuple(ROUTES)
+ROUTE_ALIASES = {"closed_form": "closed", "closed-form": "closed"}
 DEFAULT_ROUTE = {"short": "kp2", "components": "closed", "nc-short": "recurrence"}
 
 OEIS_SEQUENCES = {
@@ -61,63 +105,6 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-# --- table construction by route ---------------------------------------
-
-
-def _short_rows(k: int, n_max: int, route: str, jobs: int, budget: int | None):
-    if route == "closed":
-        return [tuple(counting.short_chord_row(k, n)) for n in range(n_max + 1)]
-    if route == "kp1":
-        return list(tables.d_table_kp1(k, n_max).rows)
-    if route == "kp2":
-        return list(tables.d_table_kp2(k, n_max).rows)
-    if route == "series":
-        f = series.F_series(k, n_max)
-        return [tuple(f.coefficient(n, s) for s in range(n + 1)) for n in range(n_max + 1)]
-    if route == "oracle":
-        rows = []
-        for n in range(n_max + 1):
-            hist = survey_parallel(k, n, jobs=jobs, budget=budget)
-            row = [0] * (n + 1)
-            for (s, _q, _m), count in hist.items():
-                row[s] += count
-            rows.append(tuple(row))
-        return rows
-    raise ValueError(f"route {route!r} not applicable to the short-chord table")
-
-
-def _component_rows(k: int, n_max: int, route: str, jobs: int, budget: int | None):
-    if route == "closed":
-        return [_trim(counting.component_row(k, n)) for n in range(n_max + 1)]
-    if route == "series":
-        c = series.C_series(k, n_max)
-        return [
-            _trim(tuple(c.coefficient(n, q) for q in range(n + 1)))
-            for n in range(n_max + 1)
-        ]
-    if route == "oracle":
-        rows = []
-        for n in range(n_max + 1):
-            hist = survey_parallel(k, n, jobs=jobs, budget=budget)
-            row = [0] * (n + 1)
-            for (_s, q, _m), count in hist.items():
-                row[q] += count
-            rows.append(_trim(tuple(row)))
-        return rows
-    raise ValueError(f"route {route!r} not applicable to the components table")
-
-
-def _nc_rows(k: int, m_max: int, route: str, budget: int | None):
-    if route == "recurrence":
-        return list(tables.noncrossing_table(k, m_max).rows)
-    if route == "series":
-        t = series.T_series(k, m_max, m_max)
-        return [tuple(t.coefficient(m, s) for s in range(m + 1)) for m in range(m_max + 1)]
-    if route == "oracle":
-        return noncrossing_survey(k, m_max, budget)
-    raise ValueError(f"route {route!r} not applicable to the non-crossing table")
-
-
 def _trim(row) -> tuple[int, ...]:
     row = list(row)
     while len(row) > 1 and row[-1] == 0:
@@ -126,19 +113,18 @@ def _trim(row) -> tuple[int, ...]:
 
 
 def build_rows(stat: str, k: int, n_max: int, route: str, jobs: int = 1, budget: int | None = None):
+    """Rows 0..n_max of one statistic by one route of ``ROUTES``; component
+    rows drop trailing zeros, as the published triangles do."""
     if k < 2 or n_max < 0:
         raise ValueError("need k >= 2 and n_max >= 0")
     route = ROUTE_ALIASES.get(route, route)
-    if route not in ROUTES_BY_STAT[stat]:
+    if route not in ROUTES[stat]:
         raise ValueError(
             f"route {route!r} not applicable to stat {stat!r}; "
-            f"choose from {', '.join(ROUTES_BY_STAT[stat])}"
+            f"choose from {', '.join(ROUTES[stat])}"
         )
-    if stat == "short":
-        return _short_rows(k, n_max, route, jobs, budget)
-    if stat == "components":
-        return _component_rows(k, n_max, route, jobs, budget)
-    return _nc_rows(k, n_max, route, budget)
+    rows = ROUTES[stat][route](k, n_max, jobs, budget)
+    return [_trim(row) for row in rows] if stat == "components" else rows
 
 
 def rows_to_csv(rows) -> str:
@@ -160,22 +146,10 @@ def rows_to_json(rows, k: int, stat: str) -> str:
 
 
 def linearize_rows(stat: str, rows) -> list[int]:
-    """Row-by-row reading of a table, matching the published triangles.
-
-    Short-chord rows are full (s = 0..n); component rows drop trailing
-    zeros; non-crossing rows start at s = 1.  Row 0 is never included.
-    """
-    out: list[int] = []
-    for n, row in enumerate(rows):
-        if n == 0:
-            continue
-        if stat == "short":
-            out.extend(row)
-        elif stat == "components":
-            out.extend(_trim(row))
-        else:
-            out.extend(row[1:])
-    return out
+    """Row-by-row reading of a ``build_rows`` table, as in the published
+    triangles: non-crossing rows start at s = 1; row 0 is never read."""
+    skip = 1 if stat == "nc-short" else 0
+    return [value for row in rows[1:] for value in row[skip:]]
 
 
 def rows_to_bfile(stat: str, rows, offset: int) -> str:
@@ -254,16 +228,12 @@ def _cmd_oeis(args) -> int:
         values = [tables.fuss_catalan(args.k, m) for m in range(args.terms)]
     else:
         offset = args.offset if args.offset is not None else 1
-        values = []
+        values: list[int] = []
         n_max = 1
-        while True:
-            rows = build_rows(stat, k, n_max, DEFAULT_ROUTE[stat])
-            values = linearize_rows(stat, rows)
-            if len(values) >= args.terms:
-                break
-            n_max += 1
-        values = values[: args.terms]
-    _emit("".join(f"{offset + i} {v}\n" for i, v in enumerate(values)), args.out)
+        while len(values) < args.terms:
+            values = linearize_rows(stat, build_rows(stat, k, n_max, DEFAULT_ROUTE[stat]))
+            n_max *= 2
+    _emit("".join(f"{offset + i} {v}\n" for i, v in enumerate(values[: args.terms])), args.out)
     return 0
 
 
@@ -346,22 +316,112 @@ def _cmd_asympt(args) -> int:
 
 
 # --- verify -------------------------------------------------------------
+# A check takes (rows, k, n_max, m_max, jobs, budget), where rows(stat,
+# route) is that route's table, built once per run.  It returns its
+# success line, its first MISMATCH line, or "" when it does not apply.
+
+# The routes that derive each table; the oracle is checked on its own.
+DERIVED_ROUTES = {stat: tuple(r for r in routes if r != "oracle") for stat, routes in ROUTES.items()}
 
 
-def _compare_rows(write, k, label_a, rows_a, label_b, rows_b, coord: str) -> bool:
-    depth = min(len(rows_a), len(rows_b))
-    for n in range(depth):
-        ra, rb = rows_a[n], rows_b[n]
-        for j in range(max(len(ra), len(rb))):
-            va = ra[j] if j < len(ra) else 0
-            vb = rb[j] if j < len(rb) else 0
-            if va != vb:
-                write(
-                    f"MISMATCH k={k} n={n} {coord}={j} "
-                    f"{label_a}={va} {label_b}={vb}\n"
-                )
-                return False
-    return True
+def _route_mismatch(rows, k: int, stat: str, coord: str) -> str:
+    first, *others = DERIVED_ROUTES[stat]
+    for other in others:
+        for n, (a, b) in enumerate(zip(rows(stat, first), rows(stat, other))):
+            for j, (va, vb) in enumerate(zip_longest(a, b, fillvalue=0)):
+                if va != vb:
+                    return f"MISMATCH k={k} n={n} {coord}={j} {first}={va} {other}={vb}\n"
+    return ""
+
+
+def _short_routes(rows, k, n_max, *_) -> str:
+    agreed = "/".join(DERIVED_ROUTES["short"])
+    return _route_mismatch(rows, k, "short", "s") or f"short-chord table: {agreed} agree, n <= {n_max}\n"
+
+
+def _short_row_sums(rows, k, *_) -> str:
+    for n, row in enumerate(rows("short", "closed")):
+        if sum(row) != counting.total_diagrams(k, n):
+            return f"MISMATCH k={k} n={n} row_sum={sum(row)} total={counting.total_diagrams(k, n)}\n"
+    return "short-chord row sums match the diagram totals\n"
+
+
+def _short_mean(rows, k, *_) -> str:
+    for n, row in enumerate(rows("short", "closed")[1:], 1):
+        lhs = counting.mean_short_chords(k, n) * counting.total_diagrams(k, n)
+        rhs = sum(s * c for s, c in enumerate(row))
+        if lhs != rhs:
+            return f"MISMATCH k={k} n={n} mean_identity lhs={lhs} rhs={rhs}\n"
+    return "short-chord mean identity holds\n"
+
+
+def _component_routes(rows, k, n_max, *_) -> str:
+    if mismatch := _route_mismatch(rows, k, "components", "q"):
+        return mismatch
+    for n, row in enumerate(rows("components", "closed")):
+        if sum(row) != counting.total_diagrams(k, n):
+            return f"MISMATCH k={k} n={n} component row sum\n"
+    agreed = "/".join(DERIVED_ROUTES["components"])
+    return f"components table: {agreed} agree, n <= {n_max}\n"
+
+
+def _noncrossing_routes(rows, k, _n_max, m_max, *_) -> str:
+    if mismatch := _route_mismatch(rows, k, "nc-short", "s"):
+        return mismatch
+    for m, row in enumerate(rows("nc-short", "recurrence")):
+        if sum(row) != tables.fuss_catalan(k, m):
+            return f"MISMATCH k={k} m={m} non-crossing row sum vs Fuss-Catalan\n"
+    agreed = "/".join(DERIVED_ROUTES["nc-short"])
+    return f"non-crossing table: {agreed} agree and rows sum to Fuss-Catalan, m <= {m_max}\n"
+
+
+def _narayana_k2(rows, k, *_) -> str:
+    if k != 2:
+        return ""
+    for m, row in enumerate(rows("nc-short", "recurrence")[1:], 1):
+        for s in range(m + 1):
+            if row[s] != counting.narayana(m, s):
+                return f"MISMATCH k=2 m={m} s={s} narayana={counting.narayana(m, s)} table={row[s]}\n"
+    return "k=2 non-crossing table matches the Narayana triangle\n"
+
+
+def _triples_k2(rows, k, n_max, *_) -> str:
+    if k != 2:
+        return ""
+    for n in range(min(n_max, 7) + 1):
+        for m, row in enumerate(series.triple_table(2, n)):
+            for s, count in enumerate(row):
+                expect = counting.triple_count_closed_k2(n, s, m)
+                if count != expect:
+                    return f"MISMATCH k=2 n={n} s={s} m={m} closed={expect} series={count}\n"
+    return "k=2 triple counts match the closed form\n"
+
+
+def _oracle_agreement(rows, k, n_max, m_max, jobs, budget) -> str:
+    """Folds one survey per n, within the budget, into the d, c, T and
+    triple rows and compares them with the derived tables."""
+    within = [n for n in range(n_max + 1) if counting.total_diagrams(k, n) <= oracle_budget(budget)]
+    for n in within:
+        hist = survey_parallel(k, n, jobs=jobs, budget=budget)
+        against = [("short-chord", "s", "short", "closed"), ("component", "q", "components", "closed")]
+        if n <= m_max:
+            against.append(("non-crossing", n, "nc-short", "recurrence"))
+        for label, coord, stat, route in against:
+            got, want = _fold(hist, n, coord), rows(stat, route)[n]
+            if _trim(got) != _trim(want):
+                return f"MISMATCH k={k} n={n} oracle {label} row {list(got)} vs {want}\n"
+        for m, row in enumerate(series.triple_table(k, n)):
+            got = _fold(hist, n, m)
+            for s, want in enumerate(row):
+                if got[s] != want:
+                    return f"MISMATCH k={k} n={n} s={s} m={m} oracle={got[s]} series={want}\n"
+    return f"oracle agreement (d, c, T, triple) for n <= {within[-1]}\n" if within else ""
+
+
+VERIFY_CHECKS = (
+    _short_routes, _short_row_sums, _short_mean, _component_routes,
+    _noncrossing_routes, _narayana_k2, _triples_k2, _oracle_agreement,
+)
 
 
 def run_verify(
@@ -372,115 +432,21 @@ def run_verify(
     budget: int | None = None,
     write=None,
 ) -> int:
-    """Cross-check every route against every other, and the oracle.
+    """Run ``VERIFY_CHECKS`` in order, writing the line each returns;
+    0 when all agree, 1 at the first mismatch."""
+    write = write or sys.stdout.write
+    m_max = n_max if m_max is None else m_max
+    oracle_budget(budget)  # a bad budget is an error before any table is built
 
-    Returns 0 when all agree, 1 at the first mismatch.
-    """
-    if write is None:
-        write = sys.stdout.write
-    if m_max is None:
-        m_max = n_max
-    cap = oracle_budget(budget)
+    @functools.cache
+    def rows(stat: str, route: str) -> list:
+        return build_rows(stat, k, m_max if stat == "nc-short" else n_max, route, jobs, budget)
 
-    by_route = {
-        route: _short_rows(k, n_max, route, jobs, budget)
-        for route in ("closed", "kp1", "kp2", "series")
-    }
-    base = by_route["closed"]
-    for other in ("kp1", "kp2", "series"):
-        if not _compare_rows(write, k, "closed", base, other, by_route[other], "s"):
+    for check in VERIFY_CHECKS:
+        line = check(rows, k, n_max, m_max, jobs, budget)
+        write(line)
+        if line.startswith("MISMATCH"):
             return 1
-    write(f"short-chord table: closed/kp1/kp2/series agree, n <= {n_max}\n")
-
-    for n in range(n_max + 1):
-        if sum(base[n]) != counting.total_diagrams(k, n):
-            write(f"MISMATCH k={k} n={n} row_sum={sum(base[n])} total={counting.total_diagrams(k, n)}\n")
-            return 1
-    write("short-chord row sums match the diagram totals\n")
-
-    for n in range(1, n_max + 1):
-        lhs = counting.mean_short_chords(k, n) * counting.total_diagrams(k, n)
-        rhs = sum(s * c for s, c in enumerate(base[n]))
-        if lhs != rhs:
-            write(f"MISMATCH k={k} n={n} mean_identity lhs={lhs} rhs={rhs}\n")
-            return 1
-    write("short-chord mean identity holds\n")
-
-    comp = {
-        route: _component_rows(k, n_max, route, jobs, budget)
-        for route in ("closed", "series")
-    }
-    if not _compare_rows(write, k, "closed", comp["closed"], "series", comp["series"], "q"):
-        return 1
-    for n in range(n_max + 1):
-        if sum(comp["closed"][n]) != counting.total_diagrams(k, n):
-            write(f"MISMATCH k={k} n={n} component row sum\n")
-            return 1
-    write(f"components table: closed/series agree, n <= {n_max}\n")
-
-    nc = {route: _nc_rows(k, m_max, route, budget) for route in ("recurrence", "series")}
-    if not _compare_rows(write, k, "recurrence", nc["recurrence"], "series", nc["series"], "s"):
-        return 1
-    for m in range(m_max + 1):
-        if sum(nc["recurrence"][m]) != tables.fuss_catalan(k, m):
-            write(f"MISMATCH k={k} m={m} non-crossing row sum vs Fuss-Catalan\n")
-            return 1
-    write(f"non-crossing table: recurrence/series agree and rows sum to Fuss-Catalan, m <= {m_max}\n")
-
-    if k == 2:
-        for m in range(1, m_max + 1):
-            for s in range(m + 1):
-                expect = counting.narayana(m, s)
-                if nc["recurrence"][m][s] != expect:
-                    write(f"MISMATCH k=2 m={m} s={s} narayana={expect} table={nc['recurrence'][m][s]}\n")
-                    return 1
-        write("k=2 non-crossing table matches the Narayana triangle\n")
-        for n in range(min(n_max, 7) + 1):
-            trip = series.triple_table(2, n)
-            for m in range(n + 1):
-                for s in range(m + 1):
-                    expect = counting.triple_count_closed_k2(n, s, m)
-                    if trip[m][s] != expect:
-                        write(f"MISMATCH k=2 n={n} s={s} m={m} closed={expect} series={trip[m][s]}\n")
-                        return 1
-        write("k=2 triple counts match the closed form\n")
-
-    checked = []
-    for n in range(n_max + 1):
-        if counting.total_diagrams(k, n) > cap:
-            break
-        hist = survey_parallel(k, n, jobs=jobs, budget=budget)
-        d_row = [0] * (n + 1)
-        c_row = [0] * (n + 1)
-        t_row = [0] * (n + 1)
-        trip_or: dict[tuple[int, int], int] = {}
-        for (s, q, m), count in hist.items():
-            d_row[s] += count
-            c_row[q] += count
-            if m == n:
-                t_row[s] += count
-            key = (m, s)
-            trip_or[key] = trip_or.get(key, 0) + count
-        if tuple(d_row) != tuple(base[n]):
-            write(f"MISMATCH k={k} n={n} oracle short-chord row {d_row} vs {base[n]}\n")
-            return 1
-        if _trim(c_row) != tuple(comp["closed"][n]):
-            write(f"MISMATCH k={k} n={n} oracle component row {c_row} vs {comp['closed'][n]}\n")
-            return 1
-        if n <= m_max and tuple(t_row) != tuple(nc["recurrence"][n]):
-            write(f"MISMATCH k={k} n={n} oracle non-crossing row {t_row} vs {nc['recurrence'][n]}\n")
-            return 1
-        trip = series.triple_table(k, n)
-        for m in range(n + 1):
-            for s in range(m + 1):
-                expect = trip[m][s]
-                got = trip_or.get((m, s), 0)
-                if expect != got:
-                    write(f"MISMATCH k={k} n={n} s={s} m={m} oracle={got} series={expect}\n")
-                    return 1
-        checked.append(n)
-    if checked:
-        write(f"oracle agreement (d, c, T, triple) for n <= {checked[-1]}\n")
     write("all agree\n")
     return 0
 
@@ -508,22 +474,29 @@ def nonnegative_int(text: str) -> int:
     return positive_int(text, 0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error: <message>`` line, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kchord",
         description="Linear k-chord diagrams: exact counts, series, asymptotics, and the memory game.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func):
         p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("stats", help="statistics of one diagram word")
     p.add_argument("--word", required=True, help="comma-separated label word, e.g. 0,1,0,1")
     p.add_argument("--k", type=int, default=None, help="block size (inferred when omitted)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    common(p)
-    p.set_defaults(func=_cmd_stats)
+    common(p, _cmd_stats)
 
     p = sub.add_parser("table", help="count table for one statistic")
     p.add_argument("--k", type=int, required=True)
@@ -534,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=int, default=1, help="first index for bfile output")
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--budget", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_table)
+    common(p, _cmd_table)
 
     p = sub.add_parser("verify", help="cross-route and oracle agreement")
     p.add_argument("--k", type=int, required=True)
@@ -543,24 +515,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--budget", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_verify)
+    common(p, _cmd_verify)
 
     p = sub.add_parser("series", help="generating-function coefficients as JSON")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--gf", choices=("F", "C", "T", "L"), required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--order2", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_series)
+    common(p, _cmd_series)
 
     p = sub.add_parser("oeis", help="b-file for a registered sequence")
     p.add_argument("--seq", required=True)
     p.add_argument("--terms", type=nonnegative_int, default=20)
     p.add_argument("--k", type=int, default=None, help="slice parameter where required")
     p.add_argument("--offset", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_oeis)
+    common(p, _cmd_oeis)
 
     p = sub.add_parser("memory", help="memory game on a board graph")
     p.add_argument("--board", required=True, help="path:M | grid:RxC | torus:RxC | file.json")
@@ -571,16 +540,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--budget", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_memory)
+    common(p, _cmd_memory)
 
     p = sub.add_parser("asympt", help="convergence report for a statistic")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", choices=STATS, default="short")
     p.add_argument("--n", required=True, help="comma-separated n values")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p)
-    p.set_defaults(func=_cmd_asympt)
+    common(p, _cmd_asympt)
 
     return parser
 
@@ -598,12 +565,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetExceededError) else 2
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from conftest import C_TABLE_K3, D_TABLE_K3, T_TABLE_K3
-from kchord import fuss_catalan, total_diagrams
+from kchord import BivariateSeries, cli, counting, fuss_catalan, series, tables, total_diagrams
 from kchord.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+FROZEN_K3 = {"short": D_TABLE_K3, "components": C_TABLE_K3, "nc-short": T_TABLE_K3}
 
 
 def run_cli(capsys, *argv):
@@ -45,10 +46,17 @@ class TestStats:
 
 
 class TestTable:
-    @pytest.mark.parametrize("route", ["closed", "kp1", "kp2", "series"])
-    def test_short_routes_agree_with_frozen(self, capsys, route):
+    @pytest.mark.parametrize(
+        "stat, route",
+        [
+            pytest.param(stat, route, id=route if stat == "short" else f"{stat}-{route}")
+            for stat, routes in cli.ROUTES.items()
+            for route in routes
+        ],
+    )
+    def test_short_routes_agree_with_frozen(self, capsys, stat, route):
         code, out, _ = run_cli(
-            capsys, "table", "--k", "3", "--stat", "short",
+            capsys, "table", "--k", "3", "--stat", stat,
             "--n-max", "4", "--route", route,
         )
         assert code == 0
@@ -58,12 +66,13 @@ class TestTable:
         for line in lines[1:]:
             n, s, c = line.split(",")
             got[(int(n), int(s))] = int(c)
-        for n, row in D_TABLE_K3.items():
-            if n > 4:
-                continue
-            for s, c in enumerate(row):
+        first = 1 if stat == "nc-short" else 0  # frozen T rows start at s = 1
+        want = {(0, 0): 1}
+        for n in range(1, 5):
+            for s, c in enumerate(FROZEN_K3[stat][n], first):
                 if c:
-                    assert got[(n, s)] == c
+                    want[(n, s)] = c
+        assert got == want
 
     def test_default_route(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--k", "2", "--stat", "short", "--n-max", "3")
@@ -171,21 +180,95 @@ class TestVerify:
         assert "Narayana" in out
         assert "closed form" in out
 
-    def test_detects_mismatch(self, capsys, monkeypatch):
-        from kchord import tables
+    @pytest.mark.parametrize(
+        "fixture, argv",
+        [
+            ("k3_n4.txt", "--k 3 --n-max 4"),
+            ("k2_n6.txt", "--k 2 --n-max 6"),
+            ("k3_n2_m5.txt", "--k 3 --n-max 2 --m-max 5"),
+            ("k2_n3_budget0.txt", "--k 2 --n-max 3 --budget 0"),
+        ],
+    )
+    def test_golden_output(self, capsys, fixture, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv.split())
+        assert code == 0
+        assert out == (FIXTURES / "verify" / fixture).read_text(encoding="utf-8")
 
-        real = tables.d_table_kp1
+    @pytest.mark.parametrize(
+        "module, builder, k, line",
+        [
+            pytest.param(module, builder, k, line, id=f"{builder}-k{k}")
+            for module, builder, k, line in [
+                (tables, "d_table_kp1", 3, "MISMATCH k=3 n=3 s=0 closed=219 kp1=220"),
+                (tables, "d_table_kp2", 3, "MISMATCH k=3 n=3 s=0 closed=219 kp2=220"),
+                (tables, "noncrossing_table", 3, "MISMATCH k=3 n=3 s=0 recurrence=1 series=0"),
+                (series, "F_series", 3, "MISMATCH k=3 n=3 s=1 closed=53 series=54"),
+                (series, "C_series", 3, "MISMATCH k=3 n=3 q=1 closed=56 series=57"),
+                (series, "T_series", 3, "MISMATCH k=3 n=3 s=1 recurrence=4 series=5"),
+                (series, "triple_table", 3, "MISMATCH k=3 n=0 s=0 m=0 oracle=1 series=2"),
+                (series, "triple_table", 2, "MISMATCH k=2 n=0 s=0 m=0 closed=1 series=2"),
+                (cli, "survey_parallel", 3, "MISMATCH k=3 n=0 oracle short-chord row [2] vs (1,)"),
+                (counting, "narayana", 2, "MISMATCH k=2 m=1 s=0 narayana=1 table=0"),
+            ]
+        ],
+    )
+    def test_detects_mismatch(self, capsys, monkeypatch, module, builder, k, line):
+        # Each result of the builder gets one count raised by 1; verify
+        # stops at the first check that breaks and prints its MISMATCH line.
+        real = getattr(module, builder)
+        monkeypatch.setattr(module, builder, lambda *a, **kw: _raise_one_count(real(*a, **kw)))
+        code, out, _ = run_cli(capsys, "verify", "--k", str(k), "--n-max", "3")
+        assert code == 1
+        assert out.splitlines()[-1] == line
 
-        def tampered(k, n_max):
-            table = real(k, n_max)
-            rows = [list(r) for r in table.rows]
-            rows[-1][0] += 1
-            return tables.CountTable(k, table.kind, tuple(tuple(r) for r in rows))
-
-        monkeypatch.setattr(tables, "d_table_kp1", tampered)
+    @pytest.mark.parametrize(
+        "moved, line",
+        [
+            ((1, 0, 1), "MISMATCH k=3 n=1 oracle component row [1, 0] vs (0, 1)"),
+            ((1, 1, 0), "MISMATCH k=3 n=1 oracle non-crossing row [0, 0] vs (0, 1)"),
+        ],
+        ids=["components", "noncrossing"],
+    )
+    def test_detects_oracle_row_mismatch(self, capsys, monkeypatch, moved, line):
+        # The one diagram of n = 1, (s, q, m) = (1, 1, 1), is reported with
+        # no component or with no non-crossing block.
+        real = cli.survey_parallel
+        monkeypatch.setattr(
+            cli, "survey_parallel", lambda k, n, **kw: {moved: 1} if n == 1 else real(k, n, **kw)
+        )
         code, out, _ = run_cli(capsys, "verify", "--k", "3", "--n-max", "3")
         assert code == 1
-        assert "MISMATCH" in out
+        assert out.splitlines()[-1] == line
+
+    def test_surveys_each_n_once(self, capsys, monkeypatch):
+        real = cli.survey_parallel
+        surveyed = []
+
+        def counted(k, n, **kwargs):
+            surveyed.append(n)
+            return real(k, n, **kwargs)
+
+        monkeypatch.setattr(cli, "survey_parallel", counted)
+        code, _, _ = run_cli(capsys, "verify", "--k", "3", "--n-max", "3")
+        assert code == 0
+        assert sorted(surveyed) == [0, 1, 2, 3]
+
+
+def _raise_one_count(result):
+    """A builder's result with one of its counts raised by 1."""
+    if isinstance(result, tables.CountTable):
+        rows = [list(row) for row in result.rows]
+        rows[-1][0] += 1
+        return tables.CountTable(result.k, result.kind, tuple(tuple(row) for row in rows))
+    if isinstance(result, int):
+        return result + 1
+    if isinstance(result, BivariateSeries):
+        result.coeffs[-1][1] += 1
+    elif isinstance(result, dict):
+        result[max(result)] += 1
+    else:
+        result[-1][-1] += 1
+    return result
 
 
 class TestSeries:
@@ -252,6 +335,16 @@ class TestOeis:
     def test_unknown_sequence(self, capsys):
         code, _, err = run_cli(capsys, "oeis", "--seq", "A000001")
         assert code == 2 and "unknown sequence" in err
+
+    @pytest.mark.parametrize(
+        "seq", [seq for seq, (stat, _) in cli.OEIS_SEQUENCES.items() if stat != "fuss"]
+    )
+    def test_every_prefix_of_the_bfile(self, capsys, seq):
+        lines = (FIXTURES / f"{seq}.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        for terms in range(len(lines) + 1):
+            code, out, _ = run_cli(capsys, "oeis", "--seq", seq, "--terms", str(terms))
+            assert code == 0
+            assert out == "".join(lines[:terms]), f"{terms} terms"
 
 
 class TestMemory:
@@ -381,6 +474,30 @@ class TestArgumentErrors:
 
     def test_missing_required(self, capsys):
         assert main(["table", "--k", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("stats --word 0,0 --k x", "argument --k: invalid int value: 'x'"),
+            ("table --k 2 --stat short --n-max x", "argument --n-max: invalid int value: 'x'"),
+            ("verify --k 2 --n-max 3 --jobs 0", "argument --jobs: must be at least 1, got 0"),
+            ("series --k 3 --gf T --order x", "argument --order: invalid int value: 'x'"),
+            ("oeis --seq A062993 --k x", "argument --k: invalid int value: 'x'"),
+            ("memory --board path:4 --k 2 --seed x", "argument --seed: invalid int value: 'x'"),
+            ("asympt --k x --n 3", "argument --k: invalid int value: 'x'"),
+            ("table --k 2 --stat short", "the following arguments are required: --n-max"),
+        ],
+        ids=["stats", "table", "verify", "series", "oeis", "memory", "asympt", "missing"],
+    )
+    def test_one_line_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_help_is_usage_on_stdout(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--help")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: kchord table")
 
     @pytest.mark.parametrize(
         "argv",
