@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 DEFAULT_ORACLE_BUDGET = 10**7
 
@@ -308,9 +308,10 @@ def enumerate_noncrossing(k: int, n: int) -> Iterator[Diagram]:
 def noncrossing_survey(k: int, m_max: int, budget: int | None = None) -> list[tuple[int, ...]]:
     """Brute-force non-crossing diagrams by short chords, rows m = 0..m_max.
 
-    One walk up to ``m_max``; a diagram is counted only when
-    ``_linear_stats`` finds all its m blocks non-crossing, so a fault of
-    the walk shows as a row summing short of Fuss-Catalan.
+    One walk up to ``m_max``.  A diagram listed in order of lowest
+    vertex is non-crossing iff no block's span meets an earlier block,
+    so one forward pass checks each diagram and counts its short blocks;
+    a fault of the walk shows as a row summing short of Fuss-Catalan.
     """
     from .tables import fuss_catalan
 
@@ -321,48 +322,118 @@ def noncrossing_survey(k: int, m_max: int, budget: int | None = None) -> list[tu
         raise BudgetExceededError(fuss_catalan(k, m_max), cap)
     rows = [[0] * (m + 1) for m in range(m_max + 1)]
     for masks in _noncrossing_masks(k, m_max):
-        shorts, _components, noncrossing = _linear_stats(masks)
-        if noncrossing == len(masks):
-            rows[noncrossing][shorts] += 1
+        shorts = seen = 0
+        for m in masks:
+            s = (1 << m.bit_length()) - (m & -m)  # _span, inlined
+            if s & seen:
+                break
+            shorts += m == s
+            seen |= m
+        else:
+            rows[len(masks)][shorts] += 1
     return [tuple(row) for row in rows]
 
 
-def _partitions(vertices: int, k: int, visit: Callable[[list[int]], None], block0: int = 0) -> None:
-    """Call ``visit(masks)`` once for each partition of range(vertices)
-    into k-sets.
+def _partitions(
+    vertices: int,
+    k: int,
+    step: Callable[[Any, int], Any],
+    root: Any,
+    leaf: Callable[[Any, int, int], Hashable],
+    block0: int = 0,
+) -> dict[Hashable, int]:
+    """Histogram of ``leaf(state, a, b)`` over the partitions of
+    range(vertices) into k-sets, at least two of them.
 
-    ``masks`` holds the blocks as bitmasks in order of their lowest
-    vertex; the one list is reused from call to call.  Each block takes
-    the lowest free vertex and k-1 partners from the rest (Knuth, TAOCP
+    The blocks of a partition are bitmasks in order of their lowest
+    vertex.  ``state`` is ``root`` folded by ``step(state, m)`` over
+    every block but the last two, ``a`` and ``b``; each prefix is folded
+    once and shared by all partitions below it.  Each block takes the
+    lowest free vertex and k-1 partners from the rest (Knuth, TAOCP
     7.2.1.5), and the last block takes what is left.  A non-zero
     ``block0`` fixes the block of vertex 0, so that the walks over its
     possible values split the partitions into disjoint sub-ranges.
     """
     n = vertices // k
-    masks = [0] * n
-    free = (1 << vertices) - 1
-    depth = 0
-    if block0:
-        masks[0] = block0
-        free ^= block0
-        depth = 1
+    if n < 2:
+        raise ValueError(f"the partition walk needs two or more blocks, got {n}")
+    hist: dict[Hashable, int] = {}
+    get = hist.get
 
-    def place(free: int, bits: list[int], depth: int) -> None:
-        low, rest = bits[0], bits[1:]
-        for partners in combinations(rest, k - 1):
-            m = low + sum(partners)
-            masks[depth] = m
-            if depth + 2 == n:
-                masks[depth + 1] = free - m
-                visit(masks)
-            else:
-                place(free - m, [b for b in rest if not b & m], depth + 1)
+    def place(state: Any, free: int, bits: list[int], depth: int, blocks: list[int]) -> None:
+        if depth + 2 == n:
+            for m in blocks:
+                key = leaf(state, m, free - m)
+                hist[key] = get(key, 0) + 1
+            return
+        for m in blocks:
+            rest = [b for b in bits if not b & m]
+            place(step(state, m), free - m, rest, depth + 1, _blocks(rest, k))
 
-    if n - depth < 2:  # nothing, or one forced block, left to place
-        masks[depth:] = [free] * (n - depth)
-        visit(masks)
+    bits = [1 << v for v in range(vertices)]
+    place(root, (1 << vertices) - 1, bits, 0, [block0] if block0 else _blocks(bits, k))
+    return hist
+
+
+def _blocks(bits: list[int], k: int) -> list[int]:
+    """The lowest of the free vertices ``bits`` with each choice of k-1
+    partners among the others."""
+    low = bits[0]
+    return [low + partners for partners in map(sum, combinations(bits[1:], k - 1))]
+
+
+# The survey's walk state after a prefix of blocks: (short blocks, union
+# of the short blocks, union of all blocks, crossed, spans of the other
+# blocks outside ``crossed``).  A short block fills its span, so it
+# crosses nothing.  ``crossed`` is the union of the blocks whose span
+# meets an earlier block, which they then cross.  A crossed block is in
+# ``crossed`` or crosses a later block that is, so its span meets
+# ``crossed``.  A span that meets a crossed block either contains that
+# block's span or is the span of a block that crosses it, so it meets
+# ``crossed`` too: a block is non-crossing iff its span misses
+# ``crossed`` (compare _linear_stats).
+_SURVEY_ROOT = (0, 0, 0, 0, ())
+
+
+def _survey_step(state: tuple, m: int) -> tuple:
+    """The survey state after block ``m`` is placed."""
+    shorts, union, seen, crossed, outside = state
+    s = (1 << m.bit_length()) - (m & -m)  # _span, inlined
+    if m == s:
+        return shorts + 1, union | m, seen | m, crossed, outside
+    if s & seen:
+        return shorts, union, seen | m, crossed | m, outside
+    return shorts, union, seen | m, crossed, outside + (s,)
+
+
+def _survey_leaf(state: tuple, a: int, b: int) -> tuple[int, int, int]:
+    """(short chords, components, non-crossing blocks) of the diagram
+    whose blocks are the prefix folded into ``state``, then ``a`` and
+    ``b``: the statistics of :func:`_linear_stats`.
+
+    ``b`` is the last block, so its span meets an earlier block unless
+    it is short.
+    """
+    shorts, union, seen, crossed, outside = state
+    s = (1 << a.bit_length()) - (a & -a)
+    if a == s:
+        shorts += 1
+        union |= a
+    elif s & seen:
+        crossed |= a
     else:
-        place(free, [1 << v for v in range(vertices) if free >> v & 1], depth)
+        outside += (s,)
+    s = (1 << b.bit_length()) - (b & -b)
+    if b == s:
+        shorts += 1
+        union |= b
+    else:
+        crossed |= b
+    noncrossing = shorts
+    for s in outside:
+        if not s & crossed:
+            noncrossing += 1
+    return shorts, (union & ~(union << 1)).bit_count(), noncrossing
 
 
 def survey(
@@ -374,9 +445,9 @@ def survey(
     """Brute-force joint histogram over (short_chords, components, noncrossing).
 
     Visits every diagram (or the sub-range with block 0 fixed) once
-    with the partition walk and reads the statistics off its block
-    bitmasks.  This is the oracle that every counting formula in the
-    package is tested against.
+    with the partition walk, which carries the statistics of each
+    prefix of blocks down to the diagrams below it.  This is the oracle
+    that every counting formula in the package is tested against.
     """
     from .counting import total_diagrams
 
@@ -392,15 +463,9 @@ def survey(
         if len(positions) != k or 0 not in positions or not in_range:
             raise ValueError("block0 must be k distinct positions including 0")
         fixed = sum(1 << p for p in positions)
-
-    hist: dict[tuple[int, int, int], int] = {}
-
-    def leaf(masks: list[int]) -> None:
-        key = _linear_stats(masks)
-        hist[key] = hist.get(key, 0) + 1
-
-    _partitions(k * n, k, leaf, fixed)
-    return hist
+    if n < 2:  # the empty diagram, or one short block
+        return {(n, n, n): 1}
+    return _partitions(k * n, k, _survey_step, _SURVEY_ROOT, _survey_leaf, fixed)
 
 
 def _survey_worker(args: tuple[int, int, tuple[int, ...]]) -> dict[tuple[int, int, int], int]:

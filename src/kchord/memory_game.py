@@ -232,21 +232,32 @@ def exhaustive_distribution(
     total = total_diagrams(k, n)
     if total > cap:
         raise BudgetExceededError(total, cap)
-    nbrs = board.neighbor_masks
     connected = set(connected_k_sets(board, k))
-    hist: dict[tuple[int, int], int] = {}
+    if n < 2:  # one deal: no block, or the whole board
+        polyominoes = int((1 << board.vertex_count) - 1 in connected)
+        return {(polyominoes, polyominoes): 1}
+    nbrs = board.neighbor_masks
+    components: dict[int, int] = {}  # by union; a board has few distinct unions
 
-    def leaf(masks: list[int]) -> None:
-        union = polyominoes = 0
-        for m in masks:
-            if m in connected:
-                polyominoes += 1
-                union |= m
-        key = (polyominoes, _mask_components(nbrs, union))
-        hist[key] = hist.get(key, 0) + 1
+    # The walk carries (polyominoes, union of the polyominoes) down each
+    # prefix of blocks.
+    def step(state: tuple[int, int], m: int) -> tuple[int, int]:
+        return (state[0] + 1, state[1] | m) if m in connected else state
 
-    _partitions(board.vertex_count, k, leaf)
-    return hist
+    def leaf(state: tuple[int, int], a: int, b: int) -> tuple[int, int]:
+        polyominoes, union = state
+        if a in connected:
+            polyominoes += 1
+            union |= a
+        if b in connected:
+            polyominoes += 1
+            union |= b
+        comps = components.get(union)
+        if comps is None:
+            comps = components[union] = _mask_components(nbrs, union)
+        return polyominoes, comps
+
+    return _partitions(board.vertex_count, k, step, (0, 0), leaf)
 
 
 @dataclass(frozen=True)

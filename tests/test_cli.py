@@ -118,6 +118,12 @@ class TestTable:
         assert code == 0
         assert oracle == run_cli(capsys, *argv, "--route", "recurrence")[1]
 
+    def test_nc_oracle_output_independent_of_jobs(self, capsys):
+        argv = ["table", "--k", "3", "--stat", "nc-short", "--n-max", "6", "--route", "oracle"]
+        code, one, _ = run_cli(capsys, *argv, "--jobs", "1")
+        assert code == 0 and one
+        assert run_cli(capsys, *argv, "--jobs", "2") == (0, one, "")
+
     def test_nc_oracle_budget(self, capsys):
         code, out, err = run_cli(
             capsys, "table", "--k", "3", "--stat", "nc-short",

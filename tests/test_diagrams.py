@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     delete_block,
+    naive_blocks,
     naive_crossing,
     naive_enumerate,
     naive_noncrossing_set,
@@ -26,9 +28,14 @@ from kchord import (
     survey_parallel,
     total_diagrams,
 )
+from kchord import diagrams
 from kchord.diagrams import (
+    _SURVEY_ROOT,
     _crosses,
+    _linear_stats,
     _partitions,
+    _survey_leaf,
+    _survey_step,
     block0_placements,
     noncrossing_survey,
     oracle_budget,
@@ -95,19 +102,39 @@ class TestCanonicalize:
 
 
 def walk_words(k: int, n: int, block0: int = 0) -> list[tuple[int, ...]]:
-    """The partition walk's diagrams as label words."""
-    words = []
+    """The partition walk's diagrams as label words, each as often as
+    the walk visits it."""
+    if n < 2:  # one diagram, with fewer blocks than the walk places
+        return [(0,) * (k * n)]
 
-    def visit(masks):
+    def leaf(masks, a, b):
         word = [0] * (k * n)
-        for label, mask in enumerate(masks):
+        for label, mask in enumerate(masks + (a, b)):
             for p in range(k * n):
                 if mask >> p & 1:
                     word[p] = label
-        words.append(tuple(word))
+        return tuple(word)
 
-    _partitions(k * n, k, visit, block0)
-    return words
+    hist = _partitions(k * n, k, lambda masks, m: masks + (m,), (), leaf, block0)
+    return [word for word, count in hist.items() for _ in range(count)]
+
+
+def carried_and_linear_stats(k: int, n: int, block0: int) -> list[tuple]:
+    """(block masks, survey statistics carried down the walk, the
+    statistics _linear_stats computes from the masks) per diagram."""
+
+    def step(state, m):
+        carried, masks = state
+        return _survey_step(carried, m), masks + (m,)
+
+    def leaf(state, a, b):
+        carried, masks = state
+        masks += (a, b)
+        return masks, _survey_leaf(carried, a, b), _linear_stats(masks)
+
+    hist = _partitions(k * n, k, step, (_SURVEY_ROOT, ()), leaf, block0)
+    assert set(hist.values()) == {1}
+    return list(hist)
 
 
 def as_mask(positions) -> int:
@@ -131,6 +158,10 @@ class TestEnumerate:
         ours = walk_words(k, n)
         assert sorted(ours) == sorted(naive_enumerate(k, n))
         assert len(ours) == total_diagrams(k, n)
+
+    def test_walk_needs_two_blocks(self):
+        with pytest.raises(ValueError, match="two or more blocks"):
+            _partitions(3, 3, lambda masks, m: masks, (), lambda masks, a, b: 0)
 
     def test_block0_restriction(self):
         whole = Counter(walk_words(2, 3))
@@ -238,6 +269,23 @@ class TestSurvey:
             merged.update(survey(k, n, block0=b0))
         assert merged == survey(k, n)
 
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 3), (4, 2)])
+    def test_carried_stats_match_linear_stats(self, k, n):
+        visited = 0
+        for b0 in block0_placements(k, n):
+            for masks, carried, linear in carried_and_linear_stats(k, n, as_mask(b0)):
+                assert masks[0] == as_mask(b0)
+                assert carried == linear, masks
+                visited += 1
+        assert visited == total_diagrams(k, n)
+
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 3), (4, 2)])
+    def test_block0_subranges_match_naive(self, k, n):
+        words = [(naive_blocks(w)[0], naive_stats(w)[:3]) for w in naive_enumerate(k, n)]
+        for b0 in block0_placements(k, n):
+            want = Counter(key for first, key in words if first == b0)
+            assert survey(k, n, block0=b0) == dict(want), b0
+
     def test_rejects_bad_block0(self):
         for bad in [(1, 2), (0, 0), (0, 6), (0, 1, 2)]:
             with pytest.raises(ValueError):
@@ -294,6 +342,32 @@ class TestNoncrossing:
         for m, row in enumerate(noncrossing_survey(k, m_max)):
             shorts = [naive_stats(w)[0] for w in naive_enumerate(k, m) if naive_stats(w)[2] == m]
             assert row == tuple(Counter(shorts)[s] for s in range(m + 1))
+
+    @pytest.mark.parametrize(
+        "k,crossing",
+        [
+            (2, (0b0101, 0b1010)),  # 0 1 0 1
+            (2, (0b100001, 0b001010, 0b010100)),  # 0 1 2 1 2 0: blocks 1 and 2 cross
+            (3, (0b000000111, 0b010101000, 0b101010000)),  # 0 0 0 1 2 1 2 1 2
+            (3, (0b000100011, 0b010010100, 0b101001000)),  # 0 0 1 2 1 0 2 1 2
+        ],
+    )
+    def test_survey_never_counts_a_crossing_diagram(self, monkeypatch, k, crossing):
+        m = len(crossing)
+        walk = diagrams._noncrossing_masks
+        assert any(_crosses(a, b) for a, b in combinations(crossing, 2))
+        lowest = [b & -b for b in crossing]
+        assert lowest == sorted(lowest) and sum(crossing) == (1 << k * m) - 1
+
+        def walk_and_crossing(k, m_max):
+            yield from walk(k, m_max)
+            yield crossing
+
+        want = noncrossing_survey(k, m)
+        monkeypatch.setattr(diagrams, "_noncrossing_masks", walk_and_crossing)
+        got = noncrossing_survey(k, m)
+        assert got == want
+        assert sum(got[m]) == fuss_catalan(k, m)
 
     def test_survey_budget(self):
         assert sum(noncrossing_survey(3, 4, budget=fuss_catalan(3, 4))[4]) == 55

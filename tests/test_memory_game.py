@@ -6,8 +6,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_enumerate, naive_stats
+from conftest import naive_blocks, naive_enumerate, naive_stats
 from kchord import (
     Board,
     BudgetExceededError,
@@ -21,7 +23,7 @@ from kchord import (
     torus_board,
 )
 from kchord.counting import mean_short_chords
-from kchord.memory_game import connected_k_sets, connected_k_subgraphs
+from kchord.memory_game import _mask_components, connected_k_sets, connected_k_subgraphs
 
 
 def loop_histogram(board: Board, k: int, samples: int, seed: int, chunk_size: int) -> dict:
@@ -163,6 +165,22 @@ class TestExactStatistics:
             want[(s, q)] += 1
         got = exhaustive_distribution(path_board(k * n), k)
         assert got == dict(want)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_exhaustive_matches_per_deal_recount(self, data):
+        vertices = data.draw(st.sampled_from([0, 2, 4, 6, 8]), label="vertices")
+        pairs = list(combinations(range(vertices), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") if pairs else []
+        board = board_from_edges(vertices, edges)
+        connected = set(connected_k_sets(board, 2))
+        want: Counter = Counter()
+        for word in naive_enumerate(2, vertices // 2):
+            deal = [sum(1 << v for v in block) for block in naive_blocks(word)]
+            polyominoes = [block for block in deal if block in connected]
+            union = sum(polyominoes)
+            want[(len(polyominoes), _mask_components(board.neighbor_masks, union))] += 1
+        assert exhaustive_distribution(board, 2) == dict(want)
 
     def test_exhaustive_mean_consistency(self):
         board = grid_board(2, 3)
