@@ -19,7 +19,6 @@ from .asymptotics import (
 )
 from .counting import (
     count_at_least,
-    count_components,
     count_exact_short,
     count_zero_short,
     mean_short_chords,
@@ -80,7 +79,6 @@ __all__ = [
     "canonicalize",
     "characteristic_expansion",
     "count_at_least",
-    "count_components",
     "count_exact_short",
     "count_zero_short",
     "d_table_kp1",

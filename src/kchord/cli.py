@@ -117,6 +117,7 @@ def build_rows(stat: str, k: int, n_max: int, route: str, jobs: int = 1, budget:
     rows drop trailing zeros, as the published triangles do."""
     if k < 2 or n_max < 0:
         raise ValueError("need k >= 2 and n_max >= 0")
+    oracle_budget(budget)  # a bad budget is an error on every route
     route = ROUTE_ALIASES.get(route, route)
     if route not in ROUTES[stat]:
         raise ValueError(
@@ -227,6 +228,8 @@ def _cmd_oeis(args) -> int:
         offset = args.offset if args.offset is not None else 0
         values = [tables.fuss_catalan(args.k, m) for m in range(args.terms)]
     else:
+        if args.k is not None and args.k != k:
+            raise ValueError(f"{args.seq} is the k = {k} sequence; --k {args.k} does not match")
         offset = args.offset if args.offset is not None else 1
         values: list[int] = []
         n_max = 1
@@ -238,6 +241,8 @@ def _cmd_oeis(args) -> int:
 
 
 def _cmd_memory(args) -> int:
+    if args.format == "csv" and not args.exhaustive:
+        raise ValueError("--format csv needs --exhaustive")
     board = (
         memory_game.board_from_spec(args.board)
         if ":" in args.board and not args.board.endswith(".json")
@@ -436,7 +441,6 @@ def run_verify(
     0 when all agree, 1 at the first mismatch."""
     write = write or sys.stdout.write
     m_max = n_max if m_max is None else m_max
-    oracle_budget(budget)  # a bad budget is an error before any table is built
 
     @functools.cache
     def rows(stat: str, route: str) -> list:
@@ -534,9 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("memory", help="memory game on a board graph")
     p.add_argument("--board", required=True, help="path:M | grid:RxC | torus:RxC | file.json")
     p.add_argument("--k", type=positive_int, required=True)
-    p.add_argument("--mean", action="store_true", help="exact mean polyomino count")
-    p.add_argument("--exhaustive", action="store_true", help="full (polyominoes, components) histogram")
-    p.add_argument("--sample", type=int, default=None, help="Monte Carlo sample count")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--mean", action="store_true", help="exact mean polyomino count")
+    mode.add_argument("--exhaustive", action="store_true", help="full (polyominoes, components) histogram")
+    mode.add_argument("--sample", type=int, default=None, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--budget", type=int, default=None)

@@ -176,17 +176,6 @@ def component_row(k: int, n: int) -> tuple[int, ...]:
     return tuple(inverse_binomial_transform(inner))
 
 
-def count_components(k: int, n: int, q: int) -> int:
-    """Number of diagrams whose short chords form exactly q runs.
-
-    >>> count_components(3, 2, 1)
-    3
-    """
-    if q < 0 or q > n:
-        return 0
-    return component_row(k, n)[q]
-
-
 def narayana(m: int, j: int) -> int:
     """Narayana number C(m, j) C(m, j-1) / m (0 for j outside 1..m)."""
     if m < 1 or j < 1 or j > m:

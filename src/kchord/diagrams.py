@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
@@ -29,12 +30,14 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
-def oracle_budget(override: int | None = None) -> int:
-    """Enumeration cap for brute-force surveys.
+def oracle_budget(override: int | None = None, total: int = 0) -> int:
+    """Enumeration cap for brute-force surveys, checked against the
+    ``total`` objects an enumeration would visit.
 
     Priority: explicit argument, then the ``KCHORD_ORACLE_BUDGET``
     environment variable, then the default of 10**7.  A negative budget
-    is rejected.
+    is rejected, and a ``total`` above the cap raises
+    :class:`BudgetExceededError`.
     """
     if override is None:
         env = os.environ.get("KCHORD_ORACLE_BUDGET")
@@ -42,6 +45,8 @@ def oracle_budget(override: int | None = None) -> int:
     budget = int(override)
     if budget < 0:
         raise ValueError(f"oracle budget must be nonnegative, got {budget}")
+    if total > budget:
+        raise BudgetExceededError(total, budget)
     return budget
 
 
@@ -77,15 +82,9 @@ class Diagram:
             if label == seen:
                 seen += 1
             counts[label] += 1
-        if any(c != self.k for c in counts):
-            raise ValueError("every label must occur exactly k times")
-
-    def blocks(self) -> list[tuple[int, ...]]:
-        """Vertex positions of each block, sorted, indexed by label."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for pos, label in enumerate(self.word):
-            out[label].append(pos)
-        return [tuple(b) for b in out]
+        for label, count in enumerate(counts):
+            if count != self.k:
+                raise ValueError(f"label {label} occurs {count} times, expected {self.k}")
 
     def masks(self) -> list[int]:
         """Bitmask of the positions of each block, indexed by label."""
@@ -130,25 +129,13 @@ class LatticePath:
         if set(self.steps) - {"U", "D"}:
             raise ValueError("steps must consist of 'U' and 'D' only")
 
-    @property
-    def up_count(self) -> int:
-        return self.steps.count("U")
-
-    @property
-    def down_count(self) -> int:
-        return self.steps.count("D")
-
-    def peaks(self) -> int:
-        """Number of UD factors."""
-        return self.steps.count("UD")
-
 
 def canonicalize(word: Sequence[Hashable], k: int | None = None) -> Diagram:
     """Relabel a block word by first occurrence.
 
     Symbols may be arbitrary hashables; each must occur exactly ``k``
-    times.  ``k`` is inferred from the multiplicities when omitted (an
-    empty word then needs an explicit ``k``).
+    times, which :class:`Diagram` checks.  ``k`` is inferred from the
+    word length when omitted (an empty word then needs an explicit ``k``).
 
     >>> canonicalize(["b", "a", "a", "b"]).word
     (0, 1, 1, 0)
@@ -168,12 +155,6 @@ def canonicalize(word: Sequence[Hashable], k: int | None = None) -> Diagram:
         k, rem = divmod(len(word), n)
         if rem:
             raise ValueError("word length not divisible by symbol count")
-    counts = [0] * n
-    for lab in relabeled:
-        counts[lab] += 1
-    bad = [sym for sym, lab in order.items() if counts[lab] != k]
-    if bad:
-        raise ValueError(f"symbol {bad[0]!r} occurs {counts[order[bad[0]]]} times, expected {k}")
     return Diagram(k, n, tuple(relabeled))
 
 
@@ -201,48 +182,6 @@ def _crosses(a: int, b: int) -> bool:
     """Whether two disjoint blocks interleave: each one has a vertex
     inside the other's span."""
     return bool(_span(a) & b and _span(b) & a)
-
-
-def _linear_stats(masks: Sequence[int]) -> tuple[int, int, int]:
-    """(short chords, components, non-crossing blocks) of a diagram whose
-    blocks ``masks`` are listed in order of their lowest vertex.
-
-    A block is short when it fills its span.  Components are the runs
-    of the union U of the short blocks, one per bit of U & ~(U << 1).  A
-    block crosses an earlier-listed one exactly when its span meets it,
-    so a forward pass finds the blocks crossed from the left and a
-    backward pass those crossed from the right.  A block is non-crossing
-    when its span meets no crossed block: the blocks inside its span are
-    then all nested in its gaps, and by induction non-crossing too.
-    """
-    spans = [(1 << m.bit_length()) - (m & -m) for m in masks]  # _span, inlined
-    shorts = union = crossed = seen = 0
-    for m, s in zip(masks, spans):
-        if m == s:
-            shorts += 1
-            union |= m
-        if s & seen:
-            crossed |= m
-        seen |= m
-    seen = 0
-    for i in range(len(masks) - 1, -1, -1):
-        if masks[i] & seen:
-            crossed |= masks[i]
-        seen |= spans[i]
-    noncrossing = sum(1 for s in spans if not s & crossed)
-    return shorts, (union & ~(union << 1)).bit_count(), noncrossing
-
-
-def stats(diagram: Diagram) -> BlockStats:
-    """Compute the four block statistics of a diagram."""
-    masks = diagram.masks()
-    shorts, components, noncrossing = _linear_stats(masks)
-    return BlockStats(
-        short_chords=shorts,
-        components=components,
-        noncrossing=noncrossing,
-        crossing_pairs=sum(_crosses(a, b) for a, b in combinations(masks, 2)),
-    )
 
 
 def encode_lattice_path(diagram: Diagram) -> LatticePath:
@@ -317,9 +256,7 @@ def noncrossing_survey(k: int, m_max: int, budget: int | None = None) -> list[tu
 
     if k < 2 or m_max < 0:
         raise ValueError("need k >= 2 and m_max >= 0")
-    cap = oracle_budget(budget)
-    if fuss_catalan(k, m_max) > cap:
-        raise BudgetExceededError(fuss_catalan(k, m_max), cap)
+    oracle_budget(budget, fuss_catalan(k, m_max))
     rows = [[0] * (m + 1) for m in range(m_max + 1)]
     for masks in _noncrossing_masks(k, m_max):
         shorts = seen = 0
@@ -391,7 +328,7 @@ def _blocks(bits: list[int], k: int) -> list[int]:
 # ``crossed``.  A span that meets a crossed block either contains that
 # block's span or is the span of a block that crosses it, so it meets
 # ``crossed`` too: a block is non-crossing iff its span misses
-# ``crossed`` (compare _linear_stats).
+# ``crossed``.
 _SURVEY_ROOT = (0, 0, 0, 0, ())
 
 
@@ -409,10 +346,12 @@ def _survey_step(state: tuple, m: int) -> tuple:
 def _survey_leaf(state: tuple, a: int, b: int) -> tuple[int, int, int]:
     """(short chords, components, non-crossing blocks) of the diagram
     whose blocks are the prefix folded into ``state``, then ``a`` and
-    ``b``: the statistics of :func:`_linear_stats`.
+    ``b``.
 
-    ``b`` is the last block, so its span meets an earlier block unless
-    it is short.
+    The components are the runs of the union U of the short blocks, one
+    per bit of U & ~(U << 1), and a block is non-crossing iff its span
+    misses ``crossed``.  ``b`` is the last block, so its span meets an
+    earlier block unless it is short.
     """
     shorts, union, seen, crossed, outside = state
     s = (1 << a.bit_length()) - (a & -a)
@@ -436,6 +375,26 @@ def _survey_leaf(state: tuple, a: int, b: int) -> tuple[int, int, int]:
     return shorts, (union & ~(union << 1)).bit_count(), noncrossing
 
 
+def stats(diagram: Diagram) -> BlockStats:
+    """Compute the four block statistics of a diagram.
+
+    The first three fold the survey's walk step over every block but the
+    last two and read the rest off its leaf, as the oracle does.
+    """
+    masks = diagram.masks()
+    if diagram.n < 2:  # the empty diagram, or one short block
+        shorts = components = noncrossing = diagram.n
+    else:
+        state = reduce(_survey_step, masks[:-2], _SURVEY_ROOT)
+        shorts, components, noncrossing = _survey_leaf(state, *masks[-2:])
+    return BlockStats(
+        short_chords=shorts,
+        components=components,
+        noncrossing=noncrossing,
+        crossing_pairs=sum(_crosses(a, b) for a, b in combinations(masks, 2)),
+    )
+
+
 def survey(
     k: int,
     n: int,
@@ -453,9 +412,7 @@ def survey(
 
     if k < 2 or n < 0:
         raise ValueError("need k >= 2 and n >= 0")
-    cap = oracle_budget(budget)
-    if block0 is None and total_diagrams(k, n) > cap:
-        raise BudgetExceededError(total_diagrams(k, n), cap)
+    oracle_budget(budget, total_diagrams(k, n) if block0 is None else 0)
     fixed = 0
     if block0 is not None:
         positions = set(block0)
@@ -488,11 +445,9 @@ def survey_parallel(
 
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    cap = oracle_budget(budget)
-    if total_diagrams(k, n) > cap:
-        raise BudgetExceededError(total_diagrams(k, n), cap)
     if jobs == 1 or n <= 1:
         return survey(k, n, budget=budget)
+    oracle_budget(budget, total_diagrams(k, n))
     from multiprocessing import Pool
 
     merged: dict[tuple[int, int, int], int] = {}

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .counting import total_diagrams
-from .diagrams import BudgetExceededError, _partitions, oracle_budget
+from .diagrams import _partitions, oracle_budget
 
 SAMPLE_CHUNK = 1 << 14
 RNG_ALGORITHM = "philox4x64/seedseq(entropy=seed,spawn_key=(chunk,))"
@@ -228,10 +228,7 @@ def exhaustive_distribution(
     count is total_diagrams(k, n), checked against the oracle budget.
     """
     n = _resolve_n(board, k, n)
-    cap = oracle_budget(budget)
-    total = total_diagrams(k, n)
-    if total > cap:
-        raise BudgetExceededError(total, cap)
+    oracle_budget(budget, total_diagrams(k, n))
     connected = set(connected_k_sets(board, k))
     if n < 2:  # one deal: no block, or the whole board
         polyominoes = int((1 << board.vertex_count) - 1 in connected)

@@ -342,6 +342,14 @@ class TestOeis:
         code, _, err = run_cli(capsys, "oeis", "--seq", "A000001")
         assert code == 2 and "unknown sequence" in err
 
+    def test_fixed_k_sequence_checks_k(self, capsys):
+        code, out, err = run_cli(capsys, "oeis", "--seq", "A334056", "--k", "9", "--terms", "3")
+        assert code == 2 and out == ""
+        assert err == "error: A334056 is the k = 3 sequence; --k 9 does not match\n"
+        _, plain, _ = run_cli(capsys, "oeis", "--seq", "A334056", "--terms", "3")
+        code, out, _ = run_cli(capsys, "oeis", "--seq", "A334056", "--k", "3", "--terms", "3")
+        assert code == 0 and out == plain
+
     @pytest.mark.parametrize(
         "seq", [seq for seq, (stat, _) in cli.OEIS_SEQUENCES.items() if stat != "fuss"]
     )
@@ -422,6 +430,22 @@ class TestMemory:
         assert code == 2 and out == ""
         assert "--k" in err and "at least 1" in err
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ("--mean --exhaustive", "argument --exhaustive: not allowed with argument --mean"),
+            ("--exhaustive --sample 10", "argument --sample: not allowed with argument --exhaustive"),
+            ("--sample 10 --mean", "argument --mean: not allowed with argument --sample"),
+            ("--mean --format csv", "--format csv needs --exhaustive"),
+            ("--sample 10 --format csv", "--format csv needs --exhaustive"),
+            ("--format csv", "--format csv needs --exhaustive"),
+        ],
+    )
+    def test_rejects_conflicting_options(self, capsys, options, message):
+        code, out, err = run_cli(capsys, "memory", "--board", "grid:2x2", "--k", "2", *options.split())
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_exhaustive_budget(self, capsys):
         code, _, err = run_cli(
             capsys, "memory", "--board", "grid:4x4", "--k", "2",
@@ -492,8 +516,9 @@ class TestArgumentErrors:
             ("memory --board path:4 --k 2 --seed x", "argument --seed: invalid int value: 'x'"),
             ("asympt --k x --n 3", "argument --k: invalid int value: 'x'"),
             ("table --k 2 --stat short", "the following arguments are required: --n-max"),
+            ("stats --word 0,1 --k 0", "block size must be at least 2, got 0"),
         ],
-        ids=["stats", "table", "verify", "series", "oeis", "memory", "asympt", "missing"],
+        ids=["stats", "table", "verify", "series", "oeis", "memory", "asympt", "missing", "stats-k0"],
     )
     def test_one_line_errors(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv.split())
@@ -521,10 +546,11 @@ class TestArgumentErrors:
         assert err.startswith("error: ")
 
     def test_rejects_negative_budget(self, capsys):
-        argv = "table --k 2 --stat short --n-max 3 --route oracle --budget -5".split()
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == ""
-        assert "nonnegative" in err
+        for route in ("oracle", "kp2", "closed"):
+            argv = f"table --k 2 --stat short --n-max 3 --route {route} --budget -5".split()
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", route
+            assert err == "error: oracle budget must be nonnegative, got -5\n", route
 
     def test_rejects_negative_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("KCHORD_ORACLE_BUDGET", "-5")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import C_TABLE_K3, D_TABLE_K3, naive_enumerate, naive_stats
 from kchord import (
     count_at_least,
-    count_components,
     count_exact_short,
     count_zero_short,
     mean_short_chords,
@@ -178,8 +177,7 @@ class TestComponents:
         want = [0] * (n + 1)
         for w in naive_enumerate(k, n):
             want[naive_stats(w)[1]] += 1
-        got = [count_components(k, n, q) for q in range(n + 1)]
-        assert got == want
+        assert list(component_row(k, n)) == want
 
     @given(st.integers(2, 5), st.integers(0, 10))
     @settings(max_examples=40)

@@ -22,7 +22,9 @@ from kchord import (
     canonicalize,
     encode_lattice_path,
     enumerate_noncrossing,
+    exhaustive_distribution,
     fuss_catalan,
+    path_board,
     stats,
     survey,
     survey_parallel,
@@ -32,7 +34,6 @@ from kchord import diagrams
 from kchord.diagrams import (
     _SURVEY_ROOT,
     _crosses,
-    _linear_stats,
     _partitions,
     _survey_leaf,
     _survey_step,
@@ -59,16 +60,16 @@ def random_word(draw):
 class TestDiagram:
     def test_valid_construction(self):
         d = Diagram(2, 2, (0, 1, 0, 1))
-        assert d.blocks() == [(0, 2), (1, 3)]
+        assert d.masks() == [0b0101, 0b1010]
         assert d.as_text() == "0,1,0,1"
 
     def test_empty(self):
         d = Diagram(3, 0, ())
-        assert d.blocks() == []
+        assert d.masks() == []
         assert stats(d).short_chords == 0
 
     def test_rejects_wrong_multiplicity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="label 0 occurs 1 times, expected 2"):
             Diagram(2, 2, (0, 1, 1, 1))
 
     def test_rejects_non_canonical_order(self):
@@ -121,7 +122,7 @@ def walk_words(k: int, n: int, block0: int = 0) -> list[tuple[int, ...]]:
 
 def carried_and_linear_stats(k: int, n: int, block0: int) -> list[tuple]:
     """(block masks, survey statistics carried down the walk, the
-    statistics _linear_stats computes from the masks) per diagram."""
+    statistics naive_stats reads off the diagram's word) per diagram."""
 
     def step(state, m):
         carried, masks = state
@@ -130,7 +131,8 @@ def carried_and_linear_stats(k: int, n: int, block0: int) -> list[tuple]:
     def leaf(state, a, b):
         carried, masks = state
         masks += (a, b)
-        return masks, _survey_leaf(carried, a, b), _linear_stats(masks)
+        word = tuple(next(i for i, m in enumerate(masks) if m >> p & 1) for p in range(k * n))
+        return masks, _survey_leaf(carried, a, b), naive_stats(word)[:3]
 
     hist = _partitions(k * n, k, step, (_SURVEY_ROOT, ()), leaf, block0)
     assert set(hist.values()) == {1}
@@ -273,9 +275,9 @@ class TestSurvey:
     def test_carried_stats_match_linear_stats(self, k, n):
         visited = 0
         for b0 in block0_placements(k, n):
-            for masks, carried, linear in carried_and_linear_stats(k, n, as_mask(b0)):
+            for masks, carried, naive in carried_and_linear_stats(k, n, as_mask(b0)):
                 assert masks[0] == as_mask(b0)
-                assert carried == linear, masks
+                assert carried == naive, masks
                 visited += 1
         assert visited == total_diagrams(k, n)
 
@@ -318,6 +320,23 @@ class TestSurvey:
     def test_budget_argument_wins(self, monkeypatch):
         monkeypatch.setenv("KCHORD_ORACLE_BUDGET", "10")
         assert sum(survey(2, 3, budget=10**6).values()) == 15
+
+
+@pytest.mark.parametrize(
+    "oracle, size",
+    [
+        (lambda budget: survey(3, 3, budget=budget), total_diagrams(3, 3)),
+        (lambda budget: survey_parallel(2, 4, jobs=2, budget=budget), total_diagrams(2, 4)),
+        (lambda budget: noncrossing_survey(3, 4, budget=budget), fuss_catalan(3, 4)),
+        (lambda budget: exhaustive_distribution(path_board(8), 2, budget=budget), total_diagrams(2, 4)),
+    ],
+    ids=["survey", "survey_parallel", "noncrossing_survey", "exhaustive_distribution"],
+)
+def test_budget_is_exact(oracle, size):
+    with pytest.raises(BudgetExceededError) as exc:
+        oracle(size - 1)
+    assert (exc.value.total, exc.value.budget) == (size, size - 1)
+    assert oracle(size)  # the cap itself is within budget
 
 
 class TestNoncrossing:
@@ -387,8 +406,8 @@ class TestLatticePath:
         factor = "U" * (k - 1) + "D"
         for d in enumerate_noncrossing(k, m):
             path = encode_lattice_path(d)
-            assert path.up_count == (k - 1) * m
-            assert path.down_count == m
+            assert path.steps.count("U") == (k - 1) * m
+            assert path.steps.count("D") == m
             # measured property: U^(k-1)D factors mark the short blocks
             assert path.steps.count(factor) == stats(d).short_chords
 
@@ -396,7 +415,7 @@ class TestLatticePath:
         # for k=2 every peak (UD factor) is a short chord
         for m in range(1, 7):
             for d in enumerate_noncrossing(2, m):
-                assert encode_lattice_path(d).peaks() == stats(d).short_chords
+                assert encode_lattice_path(d).steps.count("UD") == stats(d).short_chords
 
     @pytest.mark.parametrize("k,m", [(2, 6), (3, 4), (3, 6), (4, 5), (4, 6)])
     def test_injective_with_fuss_catalan_image(self, k, m):
