@@ -185,6 +185,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.offset is not None and args.format != "bfile":
+        raise ValueError("--offset needs --format bfile")
     route = args.route or DEFAULT_ROUTE[args.stat]
     rows = build_rows(args.stat, args.k, args.n_max, route, args.jobs, args.budget)
     if args.format == "csv":
@@ -192,7 +194,7 @@ def _cmd_table(args) -> int:
     elif args.format == "json":
         _emit(rows_to_json(rows, args.k, args.stat), args.out)
     else:
-        _emit(rows_to_bfile(args.stat, rows, args.offset), args.out)
+        _emit(rows_to_bfile(args.stat, rows, 1 if args.offset is None else args.offset), args.out)
     return 0
 
 
@@ -243,6 +245,9 @@ def _cmd_oeis(args) -> int:
 def _cmd_memory(args) -> int:
     if args.format == "csv" and not args.exhaustive:
         raise ValueError("--format csv needs --exhaustive")
+    if args.sample is not None and args.format not in (None, "json"):
+        raise ValueError(f"--sample writes json; --format {args.format} does not apply")
+    oracle_budget(args.budget)  # a bad budget is an error in every mode
     board = (
         memory_game.board_from_spec(args.board)
         if ":" in args.board and not args.board.endswith(".json")
@@ -508,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True, help="largest row (m-max for nc-short)")
     p.add_argument("--route", default=None, help="closed|kp1|kp2|series|recurrence|oracle")
     p.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
-    p.add_argument("--offset", type=int, default=1, help="first index for bfile output")
+    p.add_argument("--offset", type=int, default=None, help="first index for bfile output (default 1)")
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--budget", type=int, default=None)
     common(p, _cmd_table)
@@ -543,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true", help="full (polyominoes, components) histogram")
     mode.add_argument("--sample", type=int, default=None, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=("text", "json", "csv"), default=None, help="default text; json for --sample")
     p.add_argument("--budget", type=int, default=None)
     common(p, _cmd_memory)
 

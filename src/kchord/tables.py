@@ -1,12 +1,13 @@
 """Row-by-row count tables built from recurrences.
 
 Two independent recurrences produce the short-chord table: a two-term
-ratio recurrence whose zero column must be seeded from the closed form
-(route ``kp1``), and a single-seed append recurrence that tracks what
-happens to short chords when one extra block is threaded into a diagram
-(route ``kp2``).  A third recurrence builds the table of fully
-non-crossing diagrams by number of short chords; a Lagrange-inversion
-sum gives any single row of that table on its own.
+ratio recurrence whose zero column is the complement of its row in the
+diagram total (route ``kp1``), and a single-seed append recurrence that
+tracks what happens to short chords when one extra block is threaded
+into a diagram (route ``kp2``).  A third recurrence builds the table of
+fully non-crossing diagrams by number of short chords from the k-th
+power of its generating function; a Lagrange-inversion sum gives any
+single row of that table on its own.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .counting import count_zero_short, inverse_binomial_transform
+from .counting import inverse_binomial_transform
 
 
 @dataclass(frozen=True)
@@ -41,28 +42,22 @@ def _check_table(k: int, n_max: int) -> None:
         raise ValueError("need k >= 2 and a nonnegative largest row")
 
 
-def _stars_and_bars(bins: int, balls: int) -> int:
-    """Ways to drop identical balls into distinguishable bins."""
-    if bins < 0:
-        raise ValueError("negative bin count")
-    if bins == 0:
-        return 1 if balls == 0 else 0
-    return comb(bins + balls - 1, balls)
-
-
 def d_table_kp1(k: int, n_max: int) -> CountTable:
     """Short-chord table from the two-term ratio recurrence.
 
         s * d(n, s) = (kn - s(k-1)) d(n-1, s-1) + s(k-1) d(n-1, s)
 
-    The relation is vacuous at s = 0, so that column is seeded from the
-    zero-short closed form; every other entry divides out exactly.
+    Every entry with s >= 1 divides out exactly.  The relation is vacuous
+    at s = 0, so that column is the complement of the rest of the row in
+    the diagram total N(k, n) = N(k, n-1) C(kn-1, k-1).
     """
     _check_table(k, n_max)
     rows: list[tuple[int, ...]] = [(1,)]
+    total = 1
     for n in range(1, n_max + 1):
         prev = rows[n - 1]
-        row = [count_zero_short(k, n)]
+        total *= comb(k * n - 1, k - 1)
+        row = [0]
         for s in range(1, n + 1):
             left = (k * n - s * (k - 1)) * prev[s - 1]
             right = s * (k - 1) * (prev[s] if s < len(prev) else 0)
@@ -70,63 +65,57 @@ def d_table_kp1(k: int, n_max: int) -> CountTable:
             if num % s:
                 raise ArithmeticError(f"ratio recurrence not integral at n={n}, s={s}")
             row.append(num // s)
+        row[0] = total - sum(row)
         rows.append(tuple(row))
     return CountTable(k, "short_chords", tuple(rows))
 
 
 @lru_cache(maxsize=None)
-def _nonshort_block_power(k: int, p: int, degree: int) -> tuple[int, ...]:
-    """Coefficients of (((1-x)^(1-k)) - 1)^p up to x^degree."""
-    base = [0] + [comb(m + k - 2, k - 2) for m in range(1, degree + 1)]
-    out = [0] * (degree + 1)
-    out[0] = 1
+def _nonshort_block_power(k: int, p: int) -> tuple[int, ...]:
+    """Coefficients of (((1-x)^(1-k)) - 1)^p up to x^(k-1)."""
+    base = [0] + [comb(m + k - 2, k - 2) for m in range(1, k)]
+    out = [1] + [0] * (k - 1)
     for _ in range(p):
-        nxt = [0] * (degree + 1)
+        nxt = [0] * k
         for i, c in enumerate(out):
             if not c:
                 continue
-            for m in range(1, degree + 1 - i):
+            for m in range(1, k - i):
                 nxt[i + m] += c * base[m]
         out = nxt
     return tuple(out)
 
 
-def balls_in_bins_coeff(j: int, p: int, ell: int, k: int) -> int:
-    """Coefficient [x^j y^p] of (1 + y - y(1-x)^(1-k))^(-ell-1).
-
-    Computed as C(ell+p, p) * [x^j] ((1-x)^(1-k) - 1)^p: the y-expansion
-    is a negative binomial in y * ((1-x)^(1-k) - 1).
-    """
-    if j < 0 or p < 0 or ell < 0:
-        return 0
-    return comb(ell + p, p) * _nonshort_block_power(k, p, j)[j]
-
-
-@lru_cache(maxsize=None)
 def kp2_coefficient(n: int, ell: int, p: int, k: int) -> int:
     """Weight of d(n, ell+p) in the append recurrence for d(n+1, ell).
 
-    Counts the ways the appended block destroys p short chords: h of its
-    vertices land at the home positions, f fill out partially covered
-    runs, and the rest are scattered into the kn - (k-1)(ell+p) bins
-    left by the surviving configuration.
+    Counts the ways the appended block destroys p short chords: h >= 1 of
+    its vertices land at the home positions, f are scattered into the
+    b = kn - (k-1)(ell+p) bins left by the surviving configuration
+    (C(b+f-1, f) ways), and the other j = k-h-f fill out the p broken
+    runs (C(ell+p, p) [x^j] ((1-x)^(1-k) - 1)^p ways).  For fixed j the
+    sum over f <= F = k-j-1 is the hockey stick C(b+F, F), so
+
+        weight = C(ell+p, p) sum_{j=p}^{k-1} [x^j] ((1-x)^(1-k) - 1)^p C(b+k-j-1, k-j-1).
     """
     if not 1 <= p <= k - 1:
         raise ValueError("need 1 <= p <= k-1")
     bins = k * n - (k - 1) * (ell + p)
-    total = 0
-    for h in range(1, k - p + 1):
-        for f in range(0, k - p - h + 1):
-            total += _stars_and_bars(bins, f) * balls_in_bins_coeff(k - h - f, p, ell, k)
-    return total
+    power = _nonshort_block_power(k, p)
+    fills = sum(power[j] * comb(bins + k - j - 1, k - j - 1) for j in range(p, k))
+    return comb(ell + p, p) * fills
 
 
 def d_table_kp2(k: int, n_max: int) -> CountTable:
     """Short-chord table from the append recurrence, grown from d(0,0)=1.
 
         d(n+1, s) = d(n, s-1)
-                  + d(n, s) * sum_h stars_and_bars(kn - (k-1)s, k - h)
+                  + d(n, s) * (C(kn - (k-1)s + k-1, k-1) - 1)
                   + sum_{p=1}^{k-1} kp2_coefficient(n, s, p, k) * d(n, s+p)
+
+    The middle weight is sum_{h=1}^{k-1} C(b+k-h-1, k-h), b = kn - (k-1)s:
+    h vertices of the new block at home and k-h scattered into b bins,
+    summed by the hockey stick.
     """
     _check_table(k, n_max)
     rows: list[tuple[int, ...]] = [(1,)]
@@ -140,10 +129,7 @@ def d_table_kp2(k: int, n_max: int) -> CountTable:
         for s in range(n + 2):
             val = at(s - 1)
             if s <= n:
-                keep = sum(
-                    _stars_and_bars(k * n - (k - 1) * s, k - h) for h in range(1, k)
-                )
-                val += at(s) * keep
+                val += at(s) * (comb(k * n - (k - 1) * s + k - 1, k - 1) - 1)
             for p in range(1, k):
                 if s + p <= n:
                     val += kp2_coefficient(n, s, p, k) * at(s + p)
@@ -161,40 +147,36 @@ def noncrossing_table(k: int, m_max: int) -> CountTable:
 
         T(m+1, s) = [x^m y^s] T(x,y)^k - T(m, s) + T(m, s-1),  T(0,0) = 1.
 
-    Powers T^2..T^k are grown row by row alongside T itself.
+    Only the power P = T^k is carried, by J.C.P. Miller's recurrence for
+    the powers of a series with constant term 1:
+
+        m P_m = sum_{j=1}^{m} ((k+1)j - m) T_j P_{m-j},  P_0 = 1,
+
+    where T_j and P_j are the x^j rows, polynomials in y.
     """
     _check_table(k, m_max)
     rows: list[list[int]] = [[1]]
-    # powers[i] holds rows of T^(i+1); powers[0] is T itself.
-    powers: list[list[list[int]]] = [rows] + [[[1]] for _ in range(k - 1)]
+    power: list[list[int]] = [[1]]
     for m in range(m_max):
-        for i in range(1, k):
-            lower = powers[i - 1]
-            target = powers[i]
-            while len(target) <= m:
-                mm = len(target)
-                acc = [0] * (mm + 1)
-                for a in range(mm + 1):
-                    u = lower[a]
-                    v = rows[mm - a]
-                    for ja, ca in enumerate(u):
-                        if not ca:
-                            continue
-                        for jb, cb in enumerate(v):
-                            if cb:
-                                acc[ja + jb] += ca * cb
-                target.append(acc)
-        conv = powers[k - 1][m]
-        prev = rows[m]
-        new = [0] * (m + 2)
-        for s in range(m + 2):
-            val = conv[s] if s < len(conv) else 0
-            if s < len(prev):
-                val -= prev[s]
-            if 0 <= s - 1 < len(prev):
-                val += prev[s - 1]
-            new[s] = val
-        rows.append(new)
+        if m:
+            acc = [0] * (m + 1)
+            for j in range(1, m + 1):
+                weight = (k + 1) * j - m
+                if not weight:
+                    continue
+                u, v = rows[j], power[m - j]
+                for ja, ca in enumerate(u):
+                    if not ca:
+                        continue
+                    ca *= weight
+                    for jb, cb in enumerate(v):
+                        if cb:
+                            acc[ja + jb] += ca * cb
+            if any(c % m for c in acc):
+                raise ArithmeticError(f"power recurrence not integral at m={m}")
+            power.append([c // m for c in acc])
+        prev = rows[m] + [0]
+        rows.append([c - t + u for c, t, u in zip(power[m] + [0], prev, [0] + prev)])
     return CountTable(k, "noncrossing_short", tuple(tuple(r) for r in rows))
 
 

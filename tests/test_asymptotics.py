@@ -24,7 +24,8 @@ from kchord.asymptotics import (
     decimal_str,
     factorial_moment,
 )
-from kchord.tables import d_table_kp2, fuss_catalan, kp2_coefficient
+from kchord import tables
+from kchord.tables import d_table_kp2, fuss_catalan
 
 
 class TestPoissonLambda:
@@ -168,10 +169,14 @@ class TestPoissonReport:
         with pytest.raises(ValueError, match="k >= 2"):
             nc_mean_report(k, n_values)
 
-    def test_builds_no_table(self):
-        kp2_coefficient.cache_clear()
-        poisson_convergence_report(2, [40, 80])
-        assert kp2_coefficient.cache_info().currsize == 0
+    def test_builds_no_table(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("asympt built a kp2 table")
+
+        monkeypatch.setattr(tables, "d_table_kp2", refuse)
+        monkeypatch.setattr(tables, "kp2_coefficient", refuse)
+        rep = poisson_convergence_report(2, [40, 80])
+        assert rep.n == (40, 80)
 
     def test_serialization_shapes(self):
         rep = poisson_convergence_report(2, [10, 20])

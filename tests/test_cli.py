@@ -97,6 +97,14 @@ class TestTable:
         indexes = [int(line.split()[0]) for line in out.strip().split("\n")]
         assert indexes == list(range(1, 7))
 
+    def test_bfile_offset(self, capsys):
+        argv = ["table", "--k", "3", "--stat", "nc-short", "--n-max", "3", "--format", "bfile"]
+        _, default, _ = run_cli(capsys, *argv)
+        _, one, _ = run_cli(capsys, *argv, "--offset", "1")
+        code, zero, _ = run_cli(capsys, *argv, "--offset", "0")
+        assert one == default and code == 0
+        assert [line.split()[0] for line in zero.splitlines()] == [str(i) for i in range(6)]
+
     def test_route_stat_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys, "table", "--k", "3", "--stat", "components",
@@ -439,12 +447,26 @@ class TestMemory:
             ("--mean --format csv", "--format csv needs --exhaustive"),
             ("--sample 10 --format csv", "--format csv needs --exhaustive"),
             ("--format csv", "--format csv needs --exhaustive"),
+            ("--sample 10 --format text", "--sample writes json; --format text does not apply"),
         ],
     )
     def test_rejects_conflicting_options(self, capsys, options, message):
         code, out, err = run_cli(capsys, "memory", "--board", "grid:2x2", "--k", "2", *options.split())
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_sample_explicit_json(self, capsys):
+        argv = ["memory", "--board", "grid:2x2", "--k", "2", "--sample", "50", "--seed", "3"]
+        _, default, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and out == default
+
+    @pytest.mark.parametrize("mode", ["--mean", "--sample 10", "--exhaustive", ""])
+    def test_rejects_negative_budget(self, capsys, mode):
+        argv = ["memory", "--board", "grid:2x2", "--k", "2", "--budget", "-5"] + mode.split()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: oracle budget must be nonnegative, got -5\n"
 
     def test_exhaustive_budget(self, capsys):
         code, _, err = run_cli(
@@ -517,8 +539,13 @@ class TestArgumentErrors:
             ("asympt --k x --n 3", "argument --k: invalid int value: 'x'"),
             ("table --k 2 --stat short", "the following arguments are required: --n-max"),
             ("stats --word 0,1 --k 0", "block size must be at least 2, got 0"),
+            ("table --k 3 --stat short --n-max 3 --offset 5 --format csv", "--offset needs --format bfile"),
+            ("table --k 3 --stat short --n-max 3 --offset 1 --format json", "--offset needs --format bfile"),
         ],
-        ids=["stats", "table", "verify", "series", "oeis", "memory", "asympt", "missing", "stats-k0"],
+        ids=[
+            "stats", "table", "verify", "series", "oeis", "memory", "asympt", "missing", "stats-k0",
+            "offset-csv", "offset-json",
+        ],
     )
     def test_one_line_errors(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv.split())

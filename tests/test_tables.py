@@ -15,8 +15,62 @@ from kchord import (
     noncrossing_table,
     total_diagrams,
 )
-from kchord.counting import count_exact_short, narayana
-from kchord.tables import balls_in_bins_coeff, kp2_coefficient, noncrossing_row
+from kchord.counting import count_exact_short, count_zero_short, narayana
+from kchord.tables import kp2_coefficient, noncrossing_row
+
+
+def _stars_and_bars(bins: int, balls: int) -> int:
+    """Ways to drop identical balls into distinguishable bins."""
+    if bins == 0:
+        return 1 if balls == 0 else 0
+    return comb(bins + balls - 1, balls)
+
+
+def balls_in_bins_coeff(j: int, p: int, ell: int, k: int) -> int:
+    """[x^j y^p] (1 + y - y(1-x)^(1-k))^(-ell-1), as C(ell+p, p) times
+    [x^j] ((1-x)^(1-k) - 1)^p expanded by the binomial theorem."""
+    if j < 0 or p < 0 or ell < 0:
+        return 0
+    power = sum(
+        comb(p, i) * (-1) ** (p - i) * (comb((k - 1) * i + j - 1, j) if i else int(j == 0))
+        for i in range(p + 1)
+    )
+    return comb(ell + p, p) * power
+
+
+def kp2_double_sum(n: int, ell: int, p: int, k: int) -> int:
+    """The append-recurrence weight as the literal sum over h home
+    vertices and f vertices scattered into the bins."""
+    bins = k * n - (k - 1) * (ell + p)
+    return sum(
+        _stars_and_bars(bins, f) * balls_in_bins_coeff(k - h - f, p, ell, k)
+        for h in range(1, k - p + 1)
+        for f in range(k - p - h + 1)
+    )
+
+
+def noncrossing_by_all_powers(k: int, m_max: int) -> list[list[int]]:
+    """The non-crossing table with every power T^2..T^k grown row by row."""
+    rows: list[list[int]] = [[1]]
+    powers: list[list[list[int]]] = [rows] + [[[1]] for _ in range(k - 1)]
+    for m in range(m_max):
+        for i in range(1, k):
+            while len(powers[i]) <= m:
+                mm = len(powers[i])
+                acc = [0] * (mm + 1)
+                for a in range(mm + 1):
+                    for ja, ca in enumerate(powers[i - 1][a]):
+                        for jb, cb in enumerate(rows[mm - a]):
+                            acc[ja + jb] += ca * cb
+                powers[i].append(acc)
+        conv, prev = powers[k - 1][m], rows[m]
+        rows.append([
+            (conv[s] if s < len(conv) else 0)
+            - (prev[s] if s < len(prev) else 0)
+            + (prev[s - 1] if s >= 1 else 0)
+            for s in range(m + 2)
+        ])
+    return rows
 
 
 class TestCountTable:
@@ -72,6 +126,21 @@ class TestShortChordTables:
                 want = at(s - 1) + (2 * n - s) * at(s) + (s + 1) * at(s + 1)
                 assert t.rows[n + 1][s] == want
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_kp1_zero_column(self, k):
+        t = d_table_kp1(k, 40)
+        for n in range(41):
+            assert t.rows[n][0] == count_zero_short(k, n)
+
+    @given(st.integers(2, 7), st.integers(0, 30))
+    @settings(max_examples=30, deadline=None)
+    def test_kernels_agree(self, k, n):
+        kp1, kp2 = d_table_kp1(k, n).rows[n], d_table_kp2(k, n).rows[n]
+        assert kp1 == kp2
+        assert kp1[0] == count_zero_short(k, n)
+        assert sum(kp1) == total_diagrams(k, n)
+        assert noncrossing_table(k, n).rows[n] == noncrossing_row(k, n)
+
     @pytest.mark.parametrize("build", [d_table_kp1, d_table_kp2, noncrossing_table])
     def test_rejects_bad_arguments(self, build):
         for k, n_max in ((1, 3), (0, 3), (2, -2)):
@@ -92,6 +161,13 @@ class TestKp2Coefficients:
         for n in range(1, 8):
             for ell in range(n):
                 assert kp2_coefficient(n, ell, 1, 2) == ell + 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+    def test_matches_double_sum(self, k):
+        for n in range(26):
+            for p in range(1, k):
+                for ell in range(n - p + 1):
+                    assert kp2_coefficient(n, ell, p, k) == kp2_double_sum(n, ell, p, k)
 
     def test_balls_in_bins_small(self):
         # one run destroyed (p=1): [x^j] ((1-x)^-(k-1) - 1) scaled by l+1
@@ -131,9 +207,14 @@ class TestNoncrossingTable:
                     want[s] += 1
             assert list(t.rows[m]) == want
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_matches_all_powers(self, k):
+        t = noncrossing_table(k, 30)
+        assert [list(row) for row in t.rows] == noncrossing_by_all_powers(k, 30)
+
 
 class TestNoncrossingRow:
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_matches_recurrence(self, k):
         t = noncrossing_table(k, 30)
         for m in range(31):
