@@ -18,6 +18,7 @@ from .asymptotics import (
     tv_distance_interval,
 )
 from .counting import (
+    SelfCheckError,
     count_at_least,
     count_exact_short,
     count_zero_short,
@@ -73,6 +74,7 @@ __all__ = [
     "F_series",
     "L_series",
     "LatticePath",
+    "SelfCheckError",
     "T_series",
     "board_from_edges",
     "board_from_spec",

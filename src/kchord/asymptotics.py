@@ -123,7 +123,7 @@ def tv_distance_interval(
     dist_lo = dist_hi = 0
     for j, (q_lo, q_hi) in enumerate(_poisson_masses(lam)):
         if j > 10_000:
-            raise ArithmeticError("Poisson tail failed to shrink")
+            raise counting.SelfCheckError("Poisson tail failed to shrink")
         sum_lo += q_lo
         sum_hi += q_hi
         count = row[j] if j < len(row) else 0
@@ -384,7 +384,7 @@ def characteristic_expansion(k: int) -> CharacteristicExpansion:
     tau0 = Fraction(1, k - 1)
     base = residual((tau0, Fraction(0), Fraction(0)))
     if base[0] != 0:
-        raise ArithmeticError("order-0 root check failed")
+        raise counting.SelfCheckError("order-0 root check failed")
 
     probe = residual((tau0, Fraction(1), Fraction(0)))
     slope1 = probe[1] - base[1]
@@ -398,7 +398,7 @@ def characteristic_expansion(k: int) -> CharacteristicExpansion:
     tau: _Eps = (tau0, tau1, tau2)
     check = residual(tau)
     if check != _ZERO:
-        raise ArithmeticError("series solve left a residual")
+        raise counting.SelfCheckError("series solve left a residual")
 
     one_plus = _eadd(_ONE, tau)
     phi = _eadd(_epow(one_plus, k), _emul(_EPS, one_plus))

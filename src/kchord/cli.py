@@ -473,7 +473,10 @@ def _cmd_verify(args) -> int:
 
 
 def positive_int(text: str, low: int = 1) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name this function, not the type
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < low:
         raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
@@ -546,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--mean", action="store_true", help="exact mean polyomino count")
     mode.add_argument("--exhaustive", action="store_true", help="full (polyominoes, components) histogram")
-    mode.add_argument("--sample", type=int, default=None, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, default=0)
+    mode.add_argument("--sample", type=positive_int, default=None, help="Monte Carlo sample count")
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--format", choices=("text", "json", "csv"), default=None, help="default text; json for --sample")
     p.add_argument("--budget", type=int, default=None)
     common(p, _cmd_memory)
@@ -575,6 +578,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
+    except counting.SelfCheckError as exc:  # a program fault, whatever the input
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 4
     except (BudgetExceededError, ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, BudgetExceededError) else 2

@@ -14,6 +14,10 @@ from math import comb, factorial
 from typing import Sequence
 
 
+class SelfCheckError(RuntimeError):
+    """An internal consistency check failed: a program fault, not an input error."""
+
+
 @lru_cache(maxsize=None)
 def _fact(m: int) -> int:
     return factorial(m)
@@ -200,5 +204,5 @@ def triple_count_closed_k2(n: int, shorts: int, noncrossing: int) -> int:
     value = Fraction(2 * n - 2 * m + 1, m) * comb(m, shorts) * comb(2 * n - m, shorts - 1)
     value *= count_zero_short(2, n - m)
     if value.denominator != 1:
-        raise ArithmeticError("closed form did not produce an integer")
+        raise SelfCheckError("closed form did not produce an integer")
     return int(value)

@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import permutations
 from math import comb, sqrt
 from typing import Iterator, Sequence
 
@@ -23,6 +24,7 @@ from .counting import total_diagrams
 from .diagrams import _partitions, oracle_budget
 
 SAMPLE_CHUNK = 1 << 14
+TABLE_LIMIT = 1 << 23  # entries of the sampler's block-key table
 RNG_ALGORITHM = "philox4x64/seedseq(entropy=seed,spawn_key=(chunk,))"
 
 
@@ -269,6 +271,39 @@ class SampleResult:
     rng_algorithm: str
 
 
+def _block_key(board: Board, k: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The (k, V) int64 weights W of the block key sum_i W[i][block[i]],
+    and either the boolean table of connected k-sets that the key
+    indexes, or (past TABLE_LIMIT) the keys of the connected k-sets."""
+    v_count = board.vertex_count
+    size = min(v_count**k, 1 << v_count)
+    if size > TABLE_LIMIT and comb(v_count, k) >= 1 << 63:
+        raise ValueError(f"board too large to sample: C({v_count}, {k}) >= 2^63 vertex sets")
+
+    def weight(i: int, v: int) -> int:
+        if size > TABLE_LIMIT:  # a sorted block's rank C(v_0, 1) + C(v_1, 2) + ...
+            return comb(v, i + 1) if v <= v_count - k + i else 0  # 0 where v is never i-th
+        return v * v_count**i if size == v_count**k else 1 << v  # base V, or the bitmask
+
+    weights = np.array([[weight(i, v) for v in range(v_count)] for i in range(k)], dtype=np.int64)
+    sets = [[v for v in range(v_count) if mask >> v & 1] for mask in connected_k_sets(board, k)]
+    conn = np.array(sets, dtype=np.int64).reshape(-1, k)
+    if size > TABLE_LIMIT:
+        return weights, None, _keys(weights, conn)
+    if size == v_count**k:  # dealt order: mark every ordering of a connected set
+        conn = np.concatenate([conn[:, list(order)] for order in permutations(range(k))])
+    table = np.zeros(size, dtype=bool)
+    table[_keys(weights, conn)] = True
+    return weights, table, None
+
+
+def _keys(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    keys = weights[0][blocks[..., 0]]
+    for i in range(1, len(weights)):
+        keys += weights[i][blocks[..., i]]
+    return keys
+
+
 def sample_placements(
     board: Board,
     k: int,
@@ -283,61 +318,32 @@ def sample_placements(
     k-blocks.  Streams are reproducible: chunk c of the run uses a
     Philox generator seeded with SeedSequence(seed, spawn_key=(c,)), so
     results are deterministic for fixed (seed, samples, chunk_size) and
-    chunks may be evaluated in parallel.  Boards of up to 22 vertices
-    look each block's bitmask up in a table; larger boards match each
-    block's combinatorial rank against the ranks of the connected
-    k-sets, which needs C(vertex_count, k) < 2^63.
+    chunks may be evaluated in parallel.  Each block gets one integer
+    key, which indexes a boolean table of the connected k-sets: the
+    block in dealt order read in base V when V^k <= 2^V (every ordering
+    of a connected set is marked), else the block's bitmask.  Boards
+    whose table, min(V^k, 2^V) entries, would exceed TABLE_LIMIT sort
+    each block and match its combinatorial rank against the ranks of
+    the connected k-sets with np.isin, which needs C(V, k) < 2^63.
     """
     n = _resolve_n(board, k, n)
     if samples < 1:
         raise ValueError("need samples >= 1")
-    v_count = board.vertex_count
-    use_lookup = v_count <= 22
-    if use_lookup:
-        lookup = np.zeros(1 << v_count, dtype=bool)
-        for mask in connected_k_sets(board, k):
-            lookup[mask] = True
-    else:
-        if comb(v_count, k) >= 1 << 63:
-            raise ValueError(f"board too large to sample: C({v_count}, {k}) >= 2^63 vertex sets")
-        # A block is matched by its rank in the combinatorial number
-        # system, sum_i C(v_i, i+1) over its sorted vertices v_0 < v_1 < ...
-        # rank_terms[v, i] = C(v, i+1) wherever v can be the i-th smallest.
-        rank_terms = np.array(
-            [
-                [comb(v, i + 1) if v <= v_count - k + i else 0 for i in range(k)]
-                for v in range(v_count)
-            ],
-            dtype=np.int64,
-        )
-        conn_blocks = np.array(
-            [[v for v in range(v_count) if mask >> v & 1] for mask in connected_k_sets(board, k)],
-            dtype=np.int64,
-        ).reshape(-1, k)
-        conn_ranks = rank_terms[conn_blocks, np.arange(k)].sum(axis=1)
+    weights, table, conn_keys = _block_key(board, k)
+    work = np.empty((min(chunk_size, samples), board.vertex_count), dtype=np.int64)
     counts_hist = np.zeros(n + 1, dtype=np.int64)
-    done = 0
-    chunk_index = 0
+    done = chunk_index = 0
     while done < samples:
         m = min(chunk_size, samples - done)
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
         rng = np.random.Generator(np.random.Philox(ss))
-        perms = rng.permuted(
-            np.tile(np.arange(v_count, dtype=np.int64), (m, 1)), axis=1
-        )
-        blocks = perms.reshape(m, n, k)
-        if use_lookup:
-            masks = np.bitwise_or.reduce(np.int64(1) << blocks, axis=2)
-            flags = lookup[masks]
-        else:
+        work[:m] = np.arange(board.vertex_count)  # shuffled in place, row by row
+        blocks = rng.permuted(work[:m], axis=1, out=work[:m]).reshape(m, n, k)
+        if table is None:
             blocks.sort(axis=2)
-            ranks = np.zeros((m, n), dtype=np.int64)
-            for i in range(k):
-                ranks += rank_terms[blocks[:, :, i], i]
-            del perms, blocks  # freed before np.isin's temporaries, to bound peak memory
-            flags = np.isin(ranks, conn_ranks)
-        per_sample = flags.sum(axis=1)
-        counts_hist += np.bincount(per_sample, minlength=n + 1)
+        keys = _keys(weights, blocks)
+        flags = np.isin(keys, conn_keys) if table is None else table[keys]
+        counts_hist += np.bincount(np.count_nonzero(flags, axis=1), minlength=n + 1)
         done += m
         chunk_index += 1
     total = int(np.arange(n + 1) @ counts_hist)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .counting import inverse_binomial_transform
+from .counting import SelfCheckError, inverse_binomial_transform
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def d_table_kp1(k: int, n_max: int) -> CountTable:
             right = s * (k - 1) * (prev[s] if s < len(prev) else 0)
             num = left + right
             if num % s:
-                raise ArithmeticError(f"ratio recurrence not integral at n={n}, s={s}")
+                raise SelfCheckError(f"ratio recurrence not integral at n={n}, s={s}")
             row.append(num // s)
         row[0] = total - sum(row)
         rows.append(tuple(row))
@@ -173,7 +173,7 @@ def noncrossing_table(k: int, m_max: int) -> CountTable:
                         if cb:
                             acc[ja + jb] += ca * cb
             if any(c % m for c in acc):
-                raise ArithmeticError(f"power recurrence not integral at m={m}")
+                raise SelfCheckError(f"power recurrence not integral at m={m}")
             power.append([c // m for c in acc])
         prev = rows[m] + [0]
         rows.append([c - t + u for c, t, u in zip(power[m] + [0], prev, [0] + prev)])
@@ -202,7 +202,7 @@ def noncrossing_row(k: int, m: int) -> tuple[int, ...]:
     marked = [comb(m, i) * comb((k - 1) * (m - i) + m, m - 1) for i in range(m + 1)]
     row = inverse_binomial_transform(marked)
     if any(c % m for c in row):
-        raise ArithmeticError(f"Lagrange form not integral at m={m}")
+        raise SelfCheckError(f"Lagrange form not integral at m={m}")
     return tuple(c // m for c in row)
 
 

@@ -455,6 +455,22 @@ class TestMemory:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "fixture, argv",
+        [
+            ("grid4x4_k2.json", "--board grid:4x4 --k 2 --sample 20000 --seed 11"),
+            ("path18_k6.json", "--board path:18 --k 6 --sample 20000 --seed 12"),
+            ("grid5x6_k5.json", "--board grid:5x6 --k 5 --sample 20000 --seed 13"),
+        ],
+        ids=["base-V-key", "bitmask-key", "sorted-rank-isin"],
+    )
+    def test_sample_golden_output(self, capsys, fixture, argv):
+        # frozen from the sampler before the block-key table; one board per
+        # key kind, two chunks each (the second one partial)
+        code, out, _ = run_cli(capsys, "memory", *argv.split())
+        assert code == 0
+        assert out == (FIXTURES / "memory" / fixture).read_text(encoding="utf-8")
+
     def test_sample_explicit_json(self, capsys):
         argv = ["memory", "--board", "grid:2x2", "--k", "2", "--sample", "50", "--seed", "3"]
         _, default, _ = run_cli(capsys, *argv)
@@ -516,6 +532,17 @@ class TestAsympt:
         assert out == ""
         assert err == "error: need k >= 2 and every n >= 1\n"
 
+    def test_failed_self_check_exits_4(self, capsys, monkeypatch):
+        # The Lagrange row is a transform divided by m; one tampered term
+        # leaves it non-integral, a program fault rather than bad input.
+        real = tables.inverse_binomial_transform
+        monkeypatch.setattr(
+            tables, "inverse_binomial_transform", lambda a: [c + (s == 0) for s, c in enumerate(real(a))]
+        )
+        code, out, err = run_cli(capsys, "asympt", "--k", "3", "--kind", "nc-short", "--n", "5")
+        assert code == 4 and out == ""
+        assert err == "error: internal check failed: Lagrange form not integral at m=5\n"
+
 
 class TestArgumentErrors:
     def test_no_command(self, capsys):
@@ -536,6 +563,8 @@ class TestArgumentErrors:
             ("series --k 3 --gf T --order x", "argument --order: invalid int value: 'x'"),
             ("oeis --seq A062993 --k x", "argument --k: invalid int value: 'x'"),
             ("memory --board path:4 --k 2 --seed x", "argument --seed: invalid int value: 'x'"),
+            ("memory --board path:4 --k 2 --seed -1", "argument --seed: must be at least 0, got -1"),
+            ("memory --board path:4 --k 2 --sample 0", "argument --sample: must be at least 1, got 0"),
             ("asympt --k x --n 3", "argument --k: invalid int value: 'x'"),
             ("table --k 2 --stat short", "the following arguments are required: --n-max"),
             ("stats --word 0,1 --k 0", "block size must be at least 2, got 0"),
@@ -543,7 +572,8 @@ class TestArgumentErrors:
             ("table --k 3 --stat short --n-max 3 --offset 1 --format json", "--offset needs --format bfile"),
         ],
         ids=[
-            "stats", "table", "verify", "series", "oeis", "memory", "asympt", "missing", "stats-k0",
+            "stats", "table", "verify", "series", "oeis", "memory", "memory-seed", "memory-sample",
+            "asympt", "missing", "stats-k0",
             "offset-csv", "offset-json",
         ],
     )

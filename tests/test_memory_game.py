@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_blocks, naive_enumerate, naive_stats
@@ -18,12 +18,13 @@ from kchord import (
     exhaustive_distribution,
     grid_board,
     mean_polyominoes,
+    memory_game,
     path_board,
     sample_placements,
     torus_board,
 )
 from kchord.counting import mean_short_chords
-from kchord.memory_game import _mask_components, connected_k_sets, connected_k_subgraphs
+from kchord.memory_game import _block_key, _mask_components, connected_k_sets, connected_k_subgraphs
 
 
 def loop_histogram(board: Board, k: int, samples: int, seed: int, chunk_size: int) -> dict:
@@ -43,6 +44,22 @@ def loop_histogram(board: Board, k: int, samples: int, seed: int, chunk_size: in
         done += m
         chunk += 1
     return dict(hist)
+
+
+def draw_board(data) -> Board:
+    """A board of 0 to 8 vertices (an even number) with arbitrary edges."""
+    vertices = data.draw(st.sampled_from([0, 2, 4, 6, 8]), label="vertices")
+    pairs = list(combinations(range(vertices), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") if pairs else []
+    return board_from_edges(vertices, edges)
+
+
+def key_kind(board: Board, k: int) -> str:
+    """Which block key sample_placements uses on this board."""
+    _weights, table, _conn_keys = _block_key(board, k)
+    if table is None:
+        return "isin"
+    return "base-V" if len(table) == board.vertex_count**k else "bitmask"
 
 
 def naive_connected_sets(board: Board, k: int) -> set[frozenset]:
@@ -169,13 +186,10 @@ class TestExactStatistics:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_exhaustive_matches_per_deal_recount(self, data):
-        vertices = data.draw(st.sampled_from([0, 2, 4, 6, 8]), label="vertices")
-        pairs = list(combinations(range(vertices), 2))
-        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") if pairs else []
-        board = board_from_edges(vertices, edges)
+        board = draw_board(data)
         connected = set(connected_k_sets(board, 2))
         want: Counter = Counter()
-        for word in naive_enumerate(2, vertices // 2):
+        for word in naive_enumerate(2, board.vertex_count // 2):
             deal = [sum(1 << v for v in block) for block in naive_blocks(word)]
             polyominoes = [block for block in deal if block in connected]
             union = sum(polyominoes)
@@ -230,7 +244,7 @@ class TestSampling:
             assert abs(got - want) < 5 * sigma + 1e-9, value
 
     def test_large_board_falls_back_without_lookup(self):
-        # a board bigger than the lookup cutoff still samples correctly
+        # a board past the former 22-vertex bitmask cutoff samples correctly
         board = path_board(26)
         r = sample_placements(board, 2, 2000, seed=1)
         assert sum(r.histogram.values()) == 2000
@@ -238,12 +252,55 @@ class TestSampling:
         assert abs(float(r.mean) - exact) < 6 * r.stderr + 0.05
 
     @pytest.mark.parametrize(
-        "spec, k", [("path:26", 2), ("grid:5x6", 3), ("torus:6x6", 4), ("grid:8x9", 2)]
+        "spec, k, kind",
+        [
+            pytest.param(spec, k, kind, id=f"{spec}-{k}")
+            for spec, k, kind in [
+                ("grid:4x4", 2, "base-V"),
+                ("path:20", 4, "base-V"),
+                ("grid:8x9", 2, "base-V"),
+                ("path:26", 2, "base-V"),
+                ("grid:5x6", 3, "base-V"),
+                ("torus:6x6", 4, "base-V"),
+                ("path:18", 6, "bitmask"),  # 18^6 > 2^18
+                ("grid:5x6", 5, "isin"),  # 30^5 > 2^23
+                ("path:66", 33, "isin"),
+            ]
+        ],
     )
-    def test_scan_path_matches_loop_reference(self, spec, k):
+    def test_each_key_kind_matches_loop_reference(self, spec, k, kind):
         board = board_from_spec(spec)
+        assert key_kind(board, k) == kind
+        # 1000 does not divide 2500: the last chunk is partial
         r = sample_placements(board, k, 2500, seed=5, chunk_size=1000)
         assert r.histogram == loop_histogram(board, k, 2500, 5, 1000)
+
+    @pytest.mark.parametrize(
+        "spec, k, size, kind",
+        [("grid:4x4", 2, 16**2, "base-V"), ("path:18", 6, 2**18, "bitmask")],
+    )
+    def test_table_limit_boundary(self, monkeypatch, spec, k, size, kind):
+        board = board_from_spec(spec)
+        for limit, want in [(size, kind), (size - 1, "isin")]:
+            monkeypatch.setattr(memory_game, "TABLE_LIMIT", limit)
+            assert key_kind(board, k) == want, limit
+            r = sample_placements(board, k, 700, seed=limit, chunk_size=300)
+            assert r.histogram == loop_histogram(board, k, 700, limit, 300), limit
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_key_kind_matches_loop_reference(self, data):
+        board = draw_board(data)
+        k = data.draw(st.sampled_from([d for d in range(2, 9) if board.vertex_count % d == 0]), label="k")
+        # tables here hold at most 2^8 entries, so a low limit reaches all three kinds
+        limit = data.draw(st.integers(0, 300), label="TABLE_LIMIT")
+        samples = data.draw(st.integers(1, 200), label="samples")
+        chunk_size = data.draw(st.integers(1, 64), label="chunk_size")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(memory_game, "TABLE_LIMIT", limit)
+            event(key_kind(board, k))
+            r = sample_placements(board, k, samples, seed=limit, chunk_size=chunk_size)
+        assert r.histogram == loop_histogram(board, k, samples, limit, chunk_size)
 
     def test_board_of_72_vertices(self):
         # 64 or more vertices once wrapped 64-bit block masks
