@@ -19,8 +19,6 @@ from .asymptotics import (
 )
 from .counting import (
     SelfCheckError,
-    count_at_least,
-    count_exact_short,
     count_zero_short,
     mean_short_chords,
     short_chord_row,
@@ -80,8 +78,6 @@ __all__ = [
     "board_from_spec",
     "canonicalize",
     "characteristic_expansion",
-    "count_at_least",
-    "count_exact_short",
     "count_zero_short",
     "d_table_kp1",
     "d_table_kp2",

@@ -210,10 +210,10 @@ def poisson_convergence_report(
 ) -> AsymptoticReport:
     """Total-variation distance to Poisson(lambda(k, n)) along ``n_values``.
 
-    ``kind`` selects short chords or components; either way each row
-    comes from its inclusion-exclusion closed form.  The ``errors``
-    sequence is the certified TV upper bound per n; ``monotone`` holds
-    only if the intervals strictly decrease.
+    ``kind`` selects short chords or components: a short-chord row comes
+    from its recurrence in s, a component row from its inclusion-exclusion
+    closed form.  The ``errors`` sequence is the certified TV upper bound
+    per n; ``monotone`` holds only if the intervals strictly decrease.
     """
     n_values = list(n_values)
     _check_sizes(k, n_values)

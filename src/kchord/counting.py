@@ -3,7 +3,9 @@
 Everything here is arbitrary-precision integer or rational arithmetic;
 no floats.  The alternating sums are evaluated term by term with each
 term kept integral (binomial times binomial times diagram count), so no
-rational intermediate is needed.
+rational intermediate is needed.  Short-chord rows take no sum at all:
+their marked counts are hypergeometric, so the row follows a linear
+recurrence in s with exact integer divisions (``short_chord_row``).
 """
 
 from __future__ import annotations
@@ -57,19 +59,6 @@ def subpath_choices(k: int, path_len: int, j: int) -> int:
     return comb(top, j)
 
 
-def count_at_least(k: int, n: int, j: int) -> int:
-    """Placements of j disjoint marked short chords among n blocks.
-
-    N(k, n-j) * C(kn - j(k-1), j).  This is the binomial transform
-    sum_q C(q, j) * count_exact_short(k, n, q) -- each diagram with q
-    short chords is counted once per j-subset of them -- not the number
-    of diagrams with at least j short chords.
-    """
-    if j < 0 or j > n:
-        return 0
-    return total_diagrams(k, n - j) * subpath_choices(k, k * n, j)
-
-
 def inverse_binomial_transform(marked: Sequence[int]) -> list[int]:
     """e_s = sum_j (-1)^(j-s) C(j, s) a_j, for s = 0..len(marked)-1.
 
@@ -91,35 +80,49 @@ def inverse_binomial_transform(marked: Sequence[int]) -> list[int]:
 def short_chord_row(k: int, n: int) -> list[int]:
     """Counts of diagrams by number of short chords, s = 0..n.
 
-    The inclusion-exclusion of ``count_exact_short`` for a whole row at
-    once: the inverse binomial transform of the marked placements
-    ``count_at_least(k, n, j)``.
+    The row is the Taylor shift E(u) = A(u - 1) of the marked counts
+    a_j = N(k, n-j) C(kn - j(k-1), j), the placements of j disjoint
+    marked short chords.  The a_j are hypergeometric in j:
+
+        (j+1) P(j) a_{j+1} = k! (n-j) a_j,
+        P(j) = prod_{i=0}^{k-2} (kn - i - (k-1)j),
+
+    so A(y) = sum_j a_j y^j satisfies P(theta) A' = k! (n - theta) A
+    with theta = y d/dy.  Under y = u - 1, theta acts on the
+    coefficients of E as (theta e)_s = s e_s - (s+1) e_{s+1}, and the
+    equation becomes a recurrence downward in s.  Start the levels at
+    w^0_t = (t+1) e_{t+1} and apply one factor of P at a time,
+
+        w^{i+1}_t = (kn - i - (k-1)t) w^i_t + (k-1)(t+1) w^i_{t+1},
+
+    for i = 0..k-2; then
+
+        e_s = (w^{k-1}_s - k! (s+1) e_{s+1}) / (k! (n-s)),
+
+    from e_n = 1 (the one diagram whose blocks are all runs).  Each level
+    carries its value at s+1, so a row costs k big-integer steps per s,
+    O(nk) in all.  The division is exact; a remainder raises
+    ``SelfCheckError``.
 
     >>> short_chord_row(3, 4)
     [12861, 2296, 226, 16, 1]
     """
     if k < 2 or n < 0:
         raise ValueError("need k >= 2 and n >= 0")
-    return inverse_binomial_transform([count_at_least(k, n, j) for j in range(n + 1)])
-
-
-def count_exact_short(k: int, n: int, shorts: int) -> int:
-    """Number of diagrams with exactly the given count of short chords.
-
-    Inclusion-exclusion over marked placements:
-
-        d(n, s) = sum_{j=s}^{n} (-1)^(j-s) C(j, s) C(k(n-j)+j, j) N(k, n-j)
-
-    >>> count_exact_short(3, 4, 2)
-    226
-    """
-    if shorts < 0 or shorts > n:
-        return 0
-    total = 0
-    for j in range(shorts, n + 1):
-        term = comb(j, shorts) * comb(k * (n - j) + j, j) * total_diagrams(k, n - j)
-        total += -term if (j - shorts) & 1 else term
-    return total
+    kfact = factorial(k)
+    kn = k * n
+    row = [0] * n + [1]
+    above = [0] * (k - 1)  # w^i_{s+1} for i = 0..k-2; every level is 0 at t = n
+    for s in range(n - 1, -1, -1):
+        base, carry = kn - (k - 1) * s, (k - 1) * (s + 1)
+        w = w0 = (s + 1) * row[s + 1]
+        for i in range(k - 1):
+            w, above[i] = (base - i) * w + carry * above[i], w
+        value, rem = divmod(w - kfact * w0, kfact * (n - s))
+        if rem:
+            raise SelfCheckError(f"short-chord recurrence not exact at k={k}, n={n}, s={s}")
+        row[s] = value
+    return row
 
 
 def count_zero_short(k: int, n: int) -> int:

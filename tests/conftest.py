@@ -2,16 +2,17 @@
 
 The naive functions here are deliberately slow and literal.  They share
 no code with the package and serve as independent oracles, except the
-series oracles at the end, which expand the generating functions term by
-term on the package's ``BivariateSeries`` arithmetic (itself checked
-against a naive product in test_series).
+inclusion-exclusion sums, which take the diagram totals N(k, n) from the
+package, and the series oracles at the end, which expand the generating
+functions term by term on the package's ``BivariateSeries`` arithmetic
+(itself checked against a naive product in test_series).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from kchord import BivariateSeries, total_diagrams
 from kchord.series import neg_binomial_expand
@@ -157,6 +158,35 @@ def naive_enumerate(k: int, n: int):
                 word[p] = label
         words.append(tuple(word))
     return words
+
+
+def count_at_least(k: int, n: int, j: int) -> int:
+    """Placements of j disjoint marked short chords among n blocks.
+
+    N(k, n-j) * C(kn - j(k-1), j): contract each marked chord to one
+    vertex and choose the j contracted vertices among the rest.  This is
+    the binomial transform sum_q C(q, j) * count_exact_short(k, n, q) --
+    each diagram with q short chords is counted once per j-subset of
+    them -- not the number of diagrams with at least j short chords.
+    """
+    if j < 0 or j > n:
+        return 0
+    return total_diagrams(k, n - j) * comb(k * n - j * (k - 1), j)
+
+
+def count_exact_short(k: int, n: int, shorts: int) -> int:
+    """Diagrams with exactly ``shorts`` short chords, by the literal
+    inclusion-exclusion over marked placements:
+
+        d(n, s) = sum_{j=s}^{n} (-1)^(j-s) C(j, s) C(k(n-j)+j, j) N(k, n-j)
+    """
+    if shorts < 0 or shorts > n:
+        return 0
+    total = 0
+    for j in range(shorts, n + 1):
+        term = comb(j, shorts) * comb(k * (n - j) + j, j) * total_diagrams(k, n - j)
+        total += -term if (j - shorts) & 1 else term
+    return total
 
 
 def fraction_exp_neg_interval(lam):

@@ -543,6 +543,14 @@ class TestAsympt:
         assert code == 4 and out == ""
         assert err == "error: internal check failed: Lagrange form not integral at m=5\n"
 
+    def test_failed_short_row_check_exits_4(self, capsys, monkeypatch):
+        # A wrong k! breaks the exact division of the short-chord recurrence.
+        real = counting.factorial
+        monkeypatch.setattr(counting, "factorial", lambda m: real(m) + 1)
+        code, out, err = run_cli(capsys, "asympt", "--k", "2", "--kind", "short", "--n", "5")
+        assert code == 4 and out == ""
+        assert err == "error: internal check failed: short-chord recurrence not exact at k=2, n=5, s=3\n"
+
 
 class TestArgumentErrors:
     def test_no_command(self, capsys):

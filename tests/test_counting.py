@@ -5,17 +5,18 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import C_TABLE_K3, D_TABLE_K3, naive_enumerate, naive_stats
-from kchord import (
+from conftest import (
+    C_TABLE_K3,
+    D_TABLE_K3,
     count_at_least,
     count_exact_short,
-    count_zero_short,
-    mean_short_chords,
-    total_diagrams,
+    naive_enumerate,
+    naive_stats,
 )
+from kchord import count_zero_short, mean_short_chords, total_diagrams
 from kchord.counting import (
     component_row,
     inverse_binomial_transform,
@@ -132,6 +133,30 @@ class TestShortChordRow:
             row = short_chord_row(k, n)
             assert tuple(row) == table.rows[n]
             assert row == [count_exact_short(k, n, s) for s in range(n + 1)]
+
+    @given(st.integers(2, 9), st.integers(0, 60))
+    @example(2, 0)
+    @example(2, 1)
+    @example(9, 0)
+    @example(9, 1)
+    @example(100, 0)
+    @example(100, 1)
+    @example(100, 2)
+    @example(100, 3)
+    @settings(max_examples=60)
+    def test_matches_marked_oracle(self, k, n):
+        marked = [count_at_least(k, n, j) for j in range(n + 1)]
+        assert short_chord_row(k, n) == inverse_binomial_transform(marked)
+
+    @pytest.mark.parametrize("k,n", [(2, 2000), (3, 600)])
+    def test_scale(self, k, n):
+        # sizes where the O(n^2) Taylor shift of the marked counts is slow
+        row = short_chord_row(k, n)
+        total = total_diagrams(k, n)
+        assert len(row) == n + 1
+        assert sum(row) == total
+        assert sum(s * d for s, d in enumerate(row)) == mean_short_chords(k, n) * total
+        assert row[:4] == [count_exact_short(k, n, s) for s in range(4)]
 
     def test_rejects_bad_arguments(self):
         for k, n in ((1, 3), (0, 2), (2, -2)):

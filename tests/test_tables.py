@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import D_TABLE_K3, T_TABLE_K3, naive_enumerate, naive_stats
+from conftest import D_TABLE_K3, T_TABLE_K3, count_exact_short, naive_enumerate, naive_stats
 from kchord import (
     CountTable,
     d_table_kp1,
@@ -15,7 +15,7 @@ from kchord import (
     noncrossing_table,
     total_diagrams,
 )
-from kchord.counting import count_exact_short, count_zero_short, narayana
+from kchord.counting import count_zero_short, narayana
 from kchord.tables import kp2_coefficient, noncrossing_row
 
 
