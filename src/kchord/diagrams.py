@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations, product
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
@@ -287,36 +287,43 @@ def _partitions(
     every block but the last two, ``a`` and ``b``; each prefix is folded
     once and shared by all partitions below it.  Each block takes the
     lowest free vertex and k-1 partners from the rest (Knuth, TAOCP
-    7.2.1.5), and the last block takes what is left.  A non-zero
-    ``block0`` fixes the block of vertex 0, so that the walks over its
-    possible values split the partitions into disjoint sub-ranges.
+    7.2.1.5), and the last block takes what is left.  Candidate blocks
+    depend only on the free mask, so each walk builds them once per mask
+    (no state or histogram is reused).  A non-zero ``block0`` fixes the
+    block of vertex 0, so that the walks over its possible values split
+    the partitions into disjoint sub-ranges.
     """
     n = vertices // k
     if n < 2:
         raise ValueError(f"the partition walk needs two or more blocks, got {n}")
     hist: dict[Hashable, int] = {}
     get = hist.get
+    children: dict[int, list[int]] = {}
 
-    def place(state: Any, free: int, bits: list[int], depth: int, blocks: list[int]) -> None:
+    def place(state: Any, free: int, depth: int, blocks: list[int]) -> None:
         if depth + 2 == n:
             for m in blocks:
                 key = leaf(state, m, free - m)
                 hist[key] = get(key, 0) + 1
             return
         for m in blocks:
-            rest = [b for b in bits if not b & m]
-            place(step(state, m), free - m, rest, depth + 1, _blocks(rest, k))
+            rest = free - m
+            if depth:
+                below = children.get(rest) or children.setdefault(rest, _blocks(rest, k))
+            else:  # a free mask one block down has one parent: no reuse
+                below = _blocks(rest, k)
+            place(step(state, m), rest, depth + 1, below)
 
-    bits = [1 << v for v in range(vertices)]
-    place(root, (1 << vertices) - 1, bits, 0, [block0] if block0 else _blocks(bits, k))
+    free = (1 << vertices) - 1
+    place(root, free, 0, [block0] if block0 else _blocks(free, k))
     return hist
 
 
-def _blocks(bits: list[int], k: int) -> list[int]:
-    """The lowest of the free vertices ``bits`` with each choice of k-1
-    partners among the others."""
-    low = bits[0]
-    return [low + partners for partners in map(sum, combinations(bits[1:], k - 1))]
+def _blocks(free: int, k: int) -> list[int]:
+    """The lowest vertex of the mask ``free`` with each choice of k-1
+    partners among its other vertices."""
+    low, *bits = [1 << v for v in range(free.bit_length()) if free >> v & 1]
+    return [low + partners for partners in map(sum, combinations(bits, k - 1))]
 
 
 # The survey's walk state after a prefix of blocks: (short blocks, union
@@ -416,18 +423,12 @@ def survey(
     fixed = 0
     if block0 is not None:
         positions = set(block0)
-        in_range = all(0 <= p < k * n for p in positions)
-        if len(positions) != k or 0 not in positions or not in_range:
+        if len(positions) != k or 0 not in positions or not all(0 <= p < k * n for p in positions):
             raise ValueError("block0 must be k distinct positions including 0")
         fixed = sum(1 << p for p in positions)
     if n < 2:  # the empty diagram, or one short block
         return {(n, n, n): 1}
     return _partitions(k * n, k, _survey_step, _SURVEY_ROOT, _survey_leaf, fixed)
-
-
-def _survey_worker(args: tuple[int, int, tuple[int, ...]]) -> dict[tuple[int, int, int], int]:
-    k, n, placement = args
-    return survey(k, n, block0=placement)
 
 
 def survey_parallel(
@@ -451,9 +452,8 @@ def survey_parallel(
     from multiprocessing import Pool
 
     merged: dict[tuple[int, int, int], int] = {}
-    tasks = [(k, n, pl) for pl in block0_placements(k, n)]
     with Pool(jobs) as pool:
-        for part in pool.imap_unordered(_survey_worker, tasks, chunksize=8):
+        for part in pool.imap_unordered(partial(survey, k, n), block0_placements(k, n), 8):
             for key, val in part.items():
                 merged[key] = merged.get(key, 0) + val
     return merged

@@ -154,7 +154,8 @@ def disjoint_blocks(draw):
 
 class TestEnumerate:
     @pytest.mark.parametrize(
-        "k,n", [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)]
+        "k,n",
+        [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)],
     )
     def test_matches_naive_enumeration(self, k, n):
         ours = walk_words(k, n)
@@ -166,11 +167,21 @@ class TestEnumerate:
             _partitions(3, 3, lambda masks, m: masks, (), lambda masks, a, b: 0)
 
     def test_block0_restriction(self):
-        whole = Counter(walk_words(2, 3))
-        split: Counter = Counter()
-        for b0 in block0_placements(2, 3):
-            split.update(walk_words(2, 3, as_mask(b0)))
-        assert whole == split
+        for k, n in [(2, 3), (3, 3)]:
+            whole = Counter(walk_words(k, n))
+            split: Counter = Counter()
+            for b0 in block0_placements(k, n):
+                split.update(walk_words(k, n, as_mask(b0)))
+            assert whole == split, (k, n)
+
+    def test_walks_share_no_child_blocks(self):
+        """The child blocks looked up by free mask depend on k, so
+        walks over the same 12 vertices with k = 2, 3, 2 in one process
+        must each see only their own partitions."""
+        for k in (2, 3, 2):
+            ours = walk_words(k, 12 // k)
+            assert len(ours) == total_diagrams(k, 12 // k)
+            assert sorted(ours) == sorted(naive_enumerate(k, 12 // k))
 
     @given(disjoint_blocks())
     @settings(max_examples=300)
@@ -266,6 +277,19 @@ class TestSurvey:
 
     @pytest.mark.parametrize("k,n", [(3, 3), (2, 5)])
     def test_block0_subranges_sum_to_whole(self, k, n):
+        merged: Counter = Counter()
+        for b0 in block0_placements(k, n):
+            merged.update(survey(k, n, block0=b0))
+        assert merged == survey(k, n)
+
+    @given(
+        st.tuples(st.integers(2, 7), st.integers(1, 5)).filter(
+            lambda kn: total_diagrams(*kn) <= 3000
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_block0_subranges_sum_to_whole(self, kn):
+        k, n = kn
         merged: Counter = Counter()
         for b0 in block0_placements(k, n):
             merged.update(survey(k, n, block0=b0))
