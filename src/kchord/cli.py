@@ -199,6 +199,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    if args.order2 is not None and args.gf in ("F", "C"):
+        raise ValueError("--order2 needs --gf T or L")
     order2 = args.order2 if args.order2 is not None else args.order
     builders = {
         "F": lambda: series.F_series(args.k, args.order),

@@ -39,10 +39,6 @@ class BivariateSeries:
         self.var_names = var_names
 
     @classmethod
-    def zero(cls, order1: int, order2: int, var_names=("x", "y")) -> "BivariateSeries":
-        return cls(order1, order2, None, var_names)
-
-    @classmethod
     def monomial(
         cls, order1: int, order2: int, i: int, j: int, c: int = 1, var_names=("x", "y")
     ) -> "BivariateSeries":
@@ -59,9 +55,6 @@ class BivariateSeries:
         if not (0 <= i <= self.order1 and 0 <= j <= self.order2):
             raise IndexError(f"coefficient ({i},{j}) beyond truncation")
         return self.coeffs[i][j]
-
-    def is_zero(self) -> bool:
-        return all(not c for row in self.coeffs for c in row)
 
     def _check_compatible(self, other: "BivariateSeries"):
         if (self.order1, self.order2) != (other.order1, other.order2):
@@ -151,30 +144,37 @@ class BivariateSeries:
         )
 
 
-def neg_binomial_expand(u: BivariateSeries, r: int) -> BivariateSeries:
-    """(1 + u)^(-r) for a series u with zero constant term.
-
-    Expanded as sum_i C(r-1+i, i) (-u)^i; u^i has total degree >= i,
-    so the loop stops once the running power truncates to zero.
-    """
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if u.coeffs[0][0] != 0:
-        raise ValueError("constant term must be zero")
-    acc = BivariateSeries.one(u.order1, u.order2, u.var_names)
-    power = acc
-    neg_u = u.scale(-1)
-    for i in range(1, u.order1 + u.order2 + 1):
-        power = power * neg_u
-        if power.is_zero():
-            break
-        acc = acc + power.scale(comb(r - 1 + i, i))
-    return acc
-
-
 def _check_k(k: int) -> None:
     if k < 2:
         raise ValueError(f"block size must be at least 2, got {k}")
+
+
+def _rational(rows, numer, denom, order1: int, order2: int) -> list[list[int]]:
+    """The series with coefficient rows ``rows`` times N / (1 + D),
+    truncated at (order1, order2).
+
+    ``numer`` and ``denom`` list the terms (di, dj, c) of the sparse
+    polynomials N and D, and D has no constant term.  The product is
+    p = rows * N; the division is the recurrence
+    out[i][j] = p[i][j] - sum c * out[i - di][j - dj], run in ascending
+    i and j with every term of D applied per cell, so a term with di = 0
+    reads cells of its own row that are already final.
+    """
+    width = order2 + 1
+    out: list[list[int]] = []
+    for i in range(order1 + 1):
+        row = [0] * width
+        for di, dj, c in numer:
+            if di <= i < di + len(rows):
+                src = rows[i - di]
+                for j in range(dj, min(width, dj + len(src))):
+                    row[j] += c * src[j - dj]
+        for j in range(width):
+            for di, dj, c in denom:
+                if di <= i and dj <= j:
+                    row[j] -= c * (out[i - di] if di else row)[j - dj]
+        out.append(row)
+    return out
 
 
 def L_series(k: int, order1: int, order2: int) -> BivariateSeries:
@@ -185,10 +185,8 @@ def L_series(k: int, order1: int, order2: int) -> BivariateSeries:
     the change of viewpoint from paths back to chords.
     """
     _check_k(k)
-    x_part = BivariateSeries.monomial(order1, order2, k, k - 1, 1, ("x", "y"))
-    inner = BivariateSeries.one(order1, order2, ("x", "y")) + x_part
-    y = BivariateSeries.monomial(order1, order2, 0, 1, 1, ("x", "y"))
-    return neg_binomial_expand((y * inner).scale(-1), 1)
+    rows = _rational([[1]], [(0, 0, 1)], [(0, 1, -1), (k, k, -1)], order1, order2)
+    return BivariateSeries(order1, order2, rows, ("x", "y"))
 
 
 def F_series(k: int, n_max: int) -> BivariateSeries:
@@ -202,17 +200,8 @@ def F_series(k: int, n_max: int) -> BivariateSeries:
     so the powers of -u are computed once and shared by every j.
     """
     _check_k(k)
-    names = ("w", "z")
-    neg_u = BivariateSeries.monomial(n_max, n_max, 1, 0, -1, names) + BivariateSeries.monomial(
-        n_max, n_max, 1, 1, 1, names
-    )
-    # (-u)^i = w^i (z-1)^i: row i is its only nonzero row.
-    power_rows = []
-    power = BivariateSeries.one(n_max, n_max, names)
-    for i in range(n_max + 1):
-        power_rows.append(power.coeffs[i])
-        if i < n_max:
-            power = neg_u * power
+    # 1 / (1 + u) = sum_i (-u)^i, and (-u)^i = w^i (z-1)^i is its row i.
+    power_rows = _rational([[1]], [(0, 0, 1)], [(1, 0, 1), (1, 1, -1)], n_max, n_max)
     out = [[0] * (n_max + 1) for _ in range(n_max + 1)]
     for j in range(n_max + 1):
         weight = total_diagrams(k, j)
@@ -222,7 +211,7 @@ def F_series(k: int, n_max: int) -> BivariateSeries:
             for s, a in enumerate(power_rows[i]):
                 if a:
                     target[s] += c * a
-    return BivariateSeries(n_max, n_max, out, names)
+    return BivariateSeries(n_max, n_max, out, ("w", "z"))
 
 
 def C_series(k: int, n_max: int) -> BivariateSeries:
@@ -232,26 +221,17 @@ def C_series(k: int, n_max: int) -> BivariateSeries:
 
     The coefficient of y^n z^q is the number of diagrams with n blocks
     whose short chords form exactly q maximal runs.  Q^(kj+1) is carried
-    from j to j+1 by one product with Q^k; the term is multiplied by
-    y^j, so that product only needs y-degree n_max - j - 1.
+    from j to j+1 by k multiplications with Q, each a product with the
+    numerator and a division by the denominator; the term is multiplied
+    by y^j, so those steps only need y-degree n_max - j - 1.
     """
     _check_k(k)
-    names = ("y", "z")
-    numer = (
-        BivariateSeries.one(n_max, n_max, names)
-        + BivariateSeries.monomial(n_max, n_max, 1, 0, -1, names)
-        + BivariateSeries.monomial(n_max, n_max, 1, 1, 1, names)
-    )
-    denom_u = BivariateSeries.monomial(n_max, n_max, 2, 0, -1, names) + BivariateSeries.monomial(
-        n_max, n_max, 2, 1, 1, names
-    )
-    q = numer * neg_binomial_expand(denom_u, 1)
-    qk = q.pow(k)
-    power = q
+    numer, denom = [(0, 0, 1), (1, 0, -1), (1, 1, 1)], [(2, 0, -1), (2, 1, 1)]
+    power = _rational([[1]], numer, denom, n_max, n_max)
     out = [[0] * (n_max + 1) for _ in range(n_max + 1)]
     for j in range(n_max + 1):
         weight = total_diagrams(k, j)
-        for i, row in enumerate(power.coeffs):
+        for i, row in enumerate(power):
             target = out[i + j]
             for s, a in enumerate(row):
                 if a:
@@ -259,8 +239,9 @@ def C_series(k: int, n_max: int) -> BivariateSeries:
         if j < n_max:
             # Q has z-degree <= y-degree, so z is cut where y is.
             rest = n_max - j - 1
-            power = _truncate(power, rest, rest) * _truncate(qk, rest, rest)
-    return BivariateSeries(n_max, n_max, out, names)
+            for _ in range(k):
+                power = _rational(power, numer, denom, rest, rest)
+    return BivariateSeries(n_max, n_max, out, ("y", "z"))
 
 
 def T_series(k: int, order1: int, order2: int) -> BivariateSeries:
@@ -331,5 +312,6 @@ def triple_table(k: int, n: int) -> list[list[int]]:
     for m in range(n, -1, -1):
         out[m] = [power.coefficient(m, s) * zero_free[n - m] for s in range(m + 1)]
         if m:
-            power = power * tk
+            # Row m - 1 is the next one read, and it has s <= m - 1.
+            power = _truncate(power, m - 1, m - 1) * _truncate(tk, m - 1, m - 1)
     return out

@@ -5,7 +5,8 @@ no code with the package and serve as independent oracles, except the
 inclusion-exclusion sums, which take the diagram totals N(k, n) from the
 package, and the series oracles at the end, which expand the generating
 functions term by term on the package's ``BivariateSeries`` arithmetic
-(itself checked against a naive product in test_series).
+(itself checked against a naive product in test_series) with their own
+negative-binomial expansion.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from itertools import combinations
 from math import comb, factorial
 
 from kchord import BivariateSeries, total_diagrams
-from kchord.series import neg_binomial_expand
 
 # Reference values for k=3, frozen.
 # d(n, s): diagrams with exactly s short blocks.
@@ -241,6 +241,27 @@ def fraction_tv_interval(row, lam, tail_tolerance=Fraction(1, 10**12)):
     return (dist_lo + q_tail_lo) / 2, (dist_hi + q_tail_hi) / 2
 
 
+def neg_binomial_expand(u: BivariateSeries, r: int) -> BivariateSeries:
+    """(1 + u)^(-r) for a series u with zero constant term.
+
+    Expanded as sum_i C(r-1+i, i) (-u)^i; u^i has total degree >= i,
+    so the loop stops once the running power truncates to zero.
+    """
+    if r < 1:
+        raise ValueError("need r >= 1")
+    if u.coeffs[0][0] != 0:
+        raise ValueError("constant term must be zero")
+    acc = BivariateSeries.one(u.order1, u.order2, u.var_names)
+    power = acc
+    neg_u = u.scale(-1)
+    for i in range(1, u.order1 + u.order2 + 1):
+        power = power * neg_u
+        if not any(map(any, power.coeffs)):
+            break
+        acc = acc + power.scale(comb(r - 1 + i, i))
+    return acc
+
+
 def fixpoint_T_series(k, order1, order2):
     """T = 1 + x T^k - x (1 - y) T by substitution: each pass fixes one
     more x-degree, so order1 passes converge the truncation."""
@@ -260,7 +281,7 @@ def per_j_F_series(k, n_max):
     u = BivariateSeries.monomial(n_max, n_max, 1, 0, 1, names) + BivariateSeries.monomial(
         n_max, n_max, 1, 1, -1, names
     )
-    total = BivariateSeries.zero(n_max, n_max, names)
+    total = BivariateSeries(n_max, n_max, None, names)
     for j in range(n_max + 1):
         wj = BivariateSeries.monomial(n_max, n_max, j, 0, total_diagrams(k, j), names)
         total = total + wj * neg_binomial_expand(u, k * j + 1)
@@ -279,7 +300,7 @@ def per_j_C_series(k, n_max):
     denom_u = BivariateSeries.monomial(n_max, n_max, 2, 0, -1, names) + BivariateSeries.monomial(
         n_max, n_max, 2, 1, 1, names
     )
-    total = BivariateSeries.zero(n_max, n_max, names)
+    total = BivariateSeries(n_max, n_max, None, names)
     for j in range(n_max + 1):
         factor = numer.pow(k * j + 1) * neg_binomial_expand(denom_u, k * j + 1)
         yj = BivariateSeries.monomial(n_max, n_max, j, 0, total_diagrams(k, j), names)

@@ -578,11 +578,13 @@ class TestArgumentErrors:
             ("stats --word 0,1 --k 0", "block size must be at least 2, got 0"),
             ("table --k 3 --stat short --n-max 3 --offset 5 --format csv", "--offset needs --format bfile"),
             ("table --k 3 --stat short --n-max 3 --offset 1 --format json", "--offset needs --format bfile"),
+            ("series --k 2 --gf F --order 2 --order2 5", "--order2 needs --gf T or L"),
+            ("series --k 2 --gf C --order 2 --order2 2", "--order2 needs --gf T or L"),
         ],
         ids=[
             "stats", "table", "verify", "series", "oeis", "memory", "memory-seed", "memory-sample",
             "asympt", "missing", "stats-k0",
-            "offset-csv", "offset-json",
+            "offset-csv", "offset-json", "order2-F", "order2-C",
         ],
     )
     def test_one_line_errors(self, capsys, argv, message):

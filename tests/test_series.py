@@ -10,6 +10,7 @@ from conftest import (
     fixpoint_T_series,
     naive_enumerate,
     naive_stats,
+    neg_binomial_expand,
     per_j_C_series,
     per_j_F_series,
 )
@@ -24,7 +25,7 @@ from kchord import (
     total_diagrams,
 )
 from kchord.counting import component_row, triple_count_closed_k2
-from kchord.series import neg_binomial_expand, triple_table
+from kchord.series import _rational, triple_table
 
 
 def small_series(order=3):
@@ -86,7 +87,7 @@ class TestBivariateSeries:
 
     def test_subtraction_and_scale(self):
         a = BivariateSeries.monomial(2, 2, 1, 1, 3)
-        assert (a - a).is_zero()
+        assert a - a == BivariateSeries(2, 2)
         assert a.scale(4).coefficient(1, 1) == 12
 
 
@@ -108,6 +109,47 @@ class TestNegBinomialExpand:
     def test_rejects_nonzero_constant(self):
         with pytest.raises(ValueError):
             neg_binomial_expand(BivariateSeries.one(3, 3), 2)
+
+
+def terms(constant: bool):
+    """Sparse polynomial terms (di, dj, c), with or without (0, 0)."""
+    term = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3))
+    if not constant:
+        term = term.filter(lambda t: t[:2] != (0, 0))
+    return st.lists(term, max_size=4)
+
+
+def terms_series(poly, order1, order2):
+    out = BivariateSeries(order1, order2)
+    for di, dj, c in poly:
+        out = out + BivariateSeries.monomial(order1, order2, di, dj, c)
+    return out
+
+
+class TestRational:
+    @given(
+        st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=5),
+        terms(True),
+        terms(False),
+        st.integers(0, 5),
+        st.integers(0, 5),
+    )
+    # L's denominator: the (0, 1) term reads its own row, after the (2, 2)
+    # term has reached that cell.
+    @example([[1, 0, 0]], [(0, 0, 1)], [(0, 1, -1), (2, 2, -1)], 5, 5)
+    @example([[1, 2, 3], [4, 5, 6]], [(0, 0, 1), (1, 1, 2)], [(1, 0, 1), (0, 2, 3), (1, 1, -1)], 4, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_product_and_expansion(self, rows, numer, denom, order1, order2):
+        # N / (1 + D) = N * (1 + D)^-1, the latter by the tests' own expansion.
+        grid = [
+            [rows[i][j] if i < len(rows) and j < 3 else 0 for j in range(order2 + 1)]
+            for i in range(order1 + 1)
+        ]
+        p = BivariateSeries(order1, order2, grid)
+        want = p * terms_series(numer, order1, order2) * neg_binomial_expand(
+            terms_series(denom, order1, order2), 1
+        )
+        assert _rational(rows, numer, denom, order1, order2) == want.coeffs
 
 
 class TestGeneratingFunctions:
@@ -162,6 +204,15 @@ class TestGeneratingFunctions:
     @settings(max_examples=40, deadline=None)
     def test_F_shared_powers_match_per_j_expansion(self, k, n_max):
         assert F_series(k, n_max) == per_j_F_series(k, n_max)
+
+    @given(st.integers(2, 6), st.integers(0, 40))
+    @example(6, 40)
+    @example(2, 0)
+    @settings(max_examples=25, deadline=None)
+    def test_C_rows_match_closed_form(self, k, n_max):
+        c = C_series(k, n_max)
+        for n in range(n_max + 1):
+            assert c.coeffs[n] == list(component_row(k, n)) + [0] * (n_max - n)
 
     @given(st.integers(2, 5), st.integers(0, 9))
     @example(2, 0)
