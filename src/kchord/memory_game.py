@@ -11,6 +11,7 @@ chords and the components coincide.
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,6 +25,7 @@ from .counting import total_diagrams
 from .diagrams import _partitions, oracle_budget
 
 SAMPLE_CHUNK = 1 << 14
+SAMPLE_SLICE = 1 << 11  # rows shuffled and keyed at a time within a chunk
 TABLE_LIMIT = 1 << 23  # entries of the sampler's block-key table
 RNG_ALGORITHM = "philox4x64/seedseq(entropy=seed,spawn_key=(chunk,))"
 
@@ -317,35 +319,53 @@ def sample_placements(
     Sampling is a seeded shuffle of the vertex list cut into consecutive
     k-blocks.  Streams are reproducible: chunk c of the run uses a
     Philox generator seeded with SeedSequence(seed, spawn_key=(c,)), so
-    results are deterministic for fixed (seed, samples, chunk_size) and
-    chunks may be evaluated in parallel.  Each block gets one integer
-    key, which indexes a boolean table of the connected k-sets: the
-    block in dealt order read in base V when V^k <= 2^V (every ordering
-    of a connected set is marked), else the block's bitmask.  Boards
-    whose table, min(V^k, 2^V) entries, would exceed TABLE_LIMIT sort
-    each block and match its combinatorial rank against the ranks of
-    the connected k-sets with np.isin, which needs C(V, k) < 2^63.
+    results are deterministic for fixed (seed, samples, chunk_size).
+    Chunks run on up to one thread per available CPU; a chunk shuffles,
+    keys and counts its rows in slices of SAMPLE_SLICE rows, each slice
+    continuing the chunk's one stream, and the per-chunk histograms are
+    summed, so the output does not depend on the thread count.  Each
+    block gets one integer key, which indexes a boolean table of the
+    connected k-sets: the block in dealt order read in base V when
+    V^k <= 2^V (every ordering of a connected set is marked), else the
+    block's bitmask.  Boards whose table, min(V^k, 2^V) entries, would
+    exceed TABLE_LIMIT sort each block and match its combinatorial rank
+    against the ranks of the connected k-sets with np.isin, which needs
+    C(V, k) < 2^63.
     """
     n = _resolve_n(board, k, n)
     if samples < 1:
         raise ValueError("need samples >= 1")
+    if chunk_size < 1:
+        raise ValueError("need chunk_size >= 1")
     weights, table, conn_keys = _block_key(board, k)
-    work = np.empty((min(chunk_size, samples), board.vertex_count), dtype=np.int64)
-    counts_hist = np.zeros(n + 1, dtype=np.int64)
-    done = chunk_index = 0
-    while done < samples:
-        m = min(chunk_size, samples - done)
+    v_count = board.vertex_count
+
+    def chunk_histogram(chunk_index: int) -> np.ndarray:
+        m = min(chunk_size, samples - chunk_index * chunk_size)
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk_index,))
         rng = np.random.Generator(np.random.Philox(ss))
-        work[:m] = np.arange(board.vertex_count)  # shuffled in place, row by row
-        blocks = rng.permuted(work[:m], axis=1, out=work[:m]).reshape(m, n, k)
-        if table is None:
-            blocks.sort(axis=2)
-        keys = _keys(weights, blocks)
-        flags = np.isin(keys, conn_keys) if table is None else table[keys]
-        counts_hist += np.bincount(np.count_nonzero(flags, axis=1), minlength=n + 1)
-        done += m
-        chunk_index += 1
+        work = np.empty((min(SAMPLE_SLICE, m), v_count), dtype=np.int64)
+        hist = np.zeros(n + 1, dtype=np.int64)
+        for start in range(0, m, SAMPLE_SLICE):
+            rows = work[: min(SAMPLE_SLICE, m - start)]
+            rows[:] = np.arange(v_count)  # shuffled in place, row by row
+            blocks = rng.permuted(rows, axis=1, out=rows).reshape(len(rows), n, k)
+            if table is None:
+                blocks.sort(axis=2)
+            keys = _keys(weights, blocks)
+            flags = np.isin(keys, conn_keys) if table is None else table[keys]
+            hist += np.bincount(np.count_nonzero(flags, axis=1), minlength=n + 1)
+        return hist
+
+    from concurrent.futures import ThreadPoolExecutor  # here, not at start-up of every command
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    chunks = -(-samples // chunk_size)
+    with ThreadPoolExecutor(min(chunks, cpus)) as pool:
+        counts_hist = sum(pool.map(chunk_histogram, range(chunks)))
     total = int(np.arange(n + 1) @ counts_hist)
     mean = Fraction(total, samples)
     if samples > 1:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -276,6 +280,55 @@ class TestSampling:
         assert r.histogram == loop_histogram(board, k, 2500, 5, 1000)
 
     @pytest.mark.parametrize(
+        "spec, k, kind", [("grid:4x4", 2, "base-V"), ("path:18", 6, "bitmask"), ("grid:5x6", 5, "isin")]
+    )
+    def test_slices_that_do_not_divide_the_chunk(self, monkeypatch, spec, k, kind):
+        # 7 divides neither 1000 nor the last chunk's 500 rows
+        monkeypatch.setattr(memory_game, "SAMPLE_SLICE", 7)
+        board = board_from_spec(spec)
+        assert key_kind(board, k) == kind
+        r = sample_placements(board, k, 2500, seed=8, chunk_size=1000)
+        assert r.histogram == loop_histogram(board, k, 2500, 8, 1000)
+
+    def test_histogram_independent_of_thread_count(self, monkeypatch):
+        workers = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        board = grid_board(4, 4)
+        want = loop_histogram(board, 2, 2000, 6, 300)
+
+        def histogram() -> dict:
+            return sample_placements(board, 2, 2000, seed=6, chunk_size=300).histogram
+
+        for cpus in (1, 3, 16):  # 16 CPUs: capped at the 7 chunks
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            assert histogram() == want, cpus
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert histogram() == want, cpus
+        assert workers == [1, 3, 7, 1, 4]
+
+    def test_cli_import_leaves_the_thread_pool_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, kchord.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_rejects_chunk_size_below_one(self, chunk_size):
+        with pytest.raises(ValueError, match="need chunk_size >= 1"):
+            sample_placements(grid_board(2, 2), 2, 10, seed=0, chunk_size=chunk_size)
+
+    @pytest.mark.parametrize(
         "spec, k, size, kind",
         [("grid:4x4", 2, 16**2, "base-V"), ("path:18", 6, 2**18, "bitmask")],
     )
@@ -296,8 +349,10 @@ class TestSampling:
         limit = data.draw(st.integers(0, 300), label="TABLE_LIMIT")
         samples = data.draw(st.integers(1, 200), label="samples")
         chunk_size = data.draw(st.integers(1, 64), label="chunk_size")
+        slice_rows = data.draw(st.integers(1, 64), label="SAMPLE_SLICE")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(memory_game, "TABLE_LIMIT", limit)
+            patch.setattr(memory_game, "SAMPLE_SLICE", slice_rows)
             event(key_kind(board, k))
             r = sample_placements(board, k, samples, seed=limit, chunk_size=chunk_size)
         assert r.histogram == loop_histogram(board, k, samples, limit, chunk_size)
