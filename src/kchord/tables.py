@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb
+from operator import add, mul
 
 from .counting import SelfCheckError, inverse_binomial_transform
 
@@ -86,6 +88,18 @@ def _nonshort_block_power(k: int, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _fills(k: int, p: int, bins: int) -> int:
+    """Ways to finish a block that destroys p short chords, for b = ``bins``.
+
+    sum_{j=p}^{k-1} [x^j] ((1-x)^(1-k) - 1)^p C(b+k-j-1, k-j-1): j of its
+    vertices fill out the p broken runs, and of the other k-j at least one
+    lands at home and the rest are scattered into the b bins (a hockey
+    stick over how many).
+    """
+    power = _nonshort_block_power(k, p)
+    return sum(power[j] * comb(bins + k - j - 1, k - j - 1) for j in range(p, k))
+
+
 def kp2_coefficient(n: int, ell: int, p: int, k: int) -> int:
     """Weight of d(n, ell+p) in the append recurrence for d(n+1, ell).
 
@@ -100,10 +114,7 @@ def kp2_coefficient(n: int, ell: int, p: int, k: int) -> int:
     """
     if not 1 <= p <= k - 1:
         raise ValueError("need 1 <= p <= k-1")
-    bins = k * n - (k - 1) * (ell + p)
-    power = _nonshort_block_power(k, p)
-    fills = sum(power[j] * comb(bins + k - j - 1, k - j - 1) for j in range(p, k))
-    return comb(ell + p, p) * fills
+    return comb(ell + p, p) * _fills(k, p, k * n - (k - 1) * (ell + p))
 
 
 def d_table_kp2(k: int, n_max: int) -> CountTable:
@@ -115,27 +126,40 @@ def d_table_kp2(k: int, n_max: int) -> CountTable:
 
     The middle weight is sum_{h=1}^{k-1} C(b+k-h-1, k-h), b = kn - (k-1)s:
     h vertices of the new block at home and k-h scattered into b bins,
-    summed by the hockey stick.
+    summed by the hockey stick.  Both weights depend on n and s only
+    through the bin count, so each is listed once per table by b, and
+    row n reads b = kn, kn-(k-1), ... as one stride-(k-1) slice.  The
+    p-th list holds _fills only at the bins some row reads,
+    b = n + (k-1)u with p+u <= n < n_max: one run of b per u.
     """
     _check_table(k, n_max)
+    size = k * n_max
+    middle = [comb(b + k - 1, k - 1) - 1 for b in range(size)]
+    weights = []
+    for p in range(1, min(k, n_max)):
+        fills = [0] * size
+        done = 0
+        for u in range(n_max - p):
+            lo, hi = max(p + k * u, done), n_max + (k - 1) * u
+            fills[lo:hi] = [_fills(k, p, b) for b in range(lo, hi)]
+            done = hi
+        weights.append((fills, [comb(s + p, p) for s in range(n_max)]))
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(n_max):
         prev = rows[n]
-
-        def at(j: int) -> int:
-            return prev[j] if 0 <= j < len(prev) else 0
-
-        row = []
-        for s in range(n + 2):
-            val = at(s - 1)
-            if s <= n:
-                val += at(s) * (comb(k * n - (k - 1) * s + k - 1, k - 1) - 1)
-            for p in range(1, k):
-                if s + p <= n:
-                    val += kp2_coefficient(n, s, p, k) * at(s + p)
-            row.append(val)
-        rows.append(tuple(row))
+        kn = k * n
+        acc = list(map(mul, prev, middle[kn::1 - k]))
+        for p, (fills, runs) in enumerate(weights[:n], 1):
+            terms = map(mul, map(mul, runs, fills[kn - (k - 1) * p :: 1 - k]), prev[p:])
+            acc[: n + 1 - p] = map(add, acc, terms)
+        rows.append(tuple(map(add, chain((0,), prev), chain(acc, (0,)))))
     return CountTable(k, "short_chords", tuple(rows))
+
+
+def _slot_width(k: int, m_max: int) -> int:
+    """Bits per y-slot of a packed row: every coefficient of m P_m, m < m_max,
+    is at most m FC(k, m+1) <= m_max FC(k, m_max), below 2^(width-1)."""
+    return (m_max * fuss_catalan(k, m_max)).bit_length() + 1
 
 
 def noncrossing_table(k: int, m_max: int) -> CountTable:
@@ -152,31 +176,42 @@ def noncrossing_table(k: int, m_max: int) -> CountTable:
 
         m P_m = sum_{j=1}^{m} ((k+1)j - m) T_j P_{m-j},  P_0 = 1,
 
-    where T_j and P_j are the x^j rows, polynomials in y.
+    where T_j and P_j are the x^j rows, polynomials in y.  Each row is
+    packed into one integer, coefficient s at bit s*w (Kronecker
+    substitution), so each product T_j P_{m-j} is one big-integer product.
+    The coefficients of m P_m are nonnegative and below 2^w, so its slots
+    are its coefficients.  A carry out of a slot lowers the slot sum below
+    m P_m(1) = m FC(k, m+1), and the slot sum and the bits above slot m
+    are both checked.
     """
     _check_table(k, m_max)
+    width = _slot_width(k, m_max)
+    mask = (1 << width) - 1
     rows: list[list[int]] = [[1]]
-    power: list[list[int]] = [[1]]
+    packed_rows = [1]
+    packed_power = [1]
+    power = [1]
     for m in range(m_max):
         if m:
-            acc = [0] * (m + 1)
+            acc = 0
             for j in range(1, m + 1):
                 weight = (k + 1) * j - m
-                if not weight:
-                    continue
-                u, v = rows[j], power[m - j]
-                for ja, ca in enumerate(u):
-                    if not ca:
-                        continue
-                    ca *= weight
-                    for jb, cb in enumerate(v):
-                        if cb:
-                            acc[ja + jb] += ca * cb
-            if any(c % m for c in acc):
+                if weight:
+                    acc += weight * packed_rows[j] * packed_power[m - j]
+            slots = [(acc >> (width * s)) & mask for s in range(m + 1)]
+            if acc >> (width * (m + 1)) or sum(slots) != m * fuss_catalan(k, m + 1):
+                raise SelfCheckError(f"packed power recurrence overflowed at m={m}")
+            if any(c % m for c in slots):
                 raise SelfCheckError(f"power recurrence not integral at m={m}")
-            power.append([c // m for c in acc])
+            power = [c // m for c in slots]
+            packed_power.append(acc // m)
         prev = rows[m] + [0]
-        rows.append([c - t + u for c, t, u in zip(power[m] + [0], prev, [0] + prev)])
+        row = [c - t + u for c, t, u in zip(power + [0], prev, [0] + prev)]
+        rows.append(row)
+        packed = 0
+        for c in reversed(row):
+            packed = (packed << width) | c
+        packed_rows.append(packed)
     return CountTable(k, "noncrossing_short", tuple(tuple(r) for r in rows))
 
 

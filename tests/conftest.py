@@ -1,21 +1,31 @@
 """Shared helpers: naive reference implementations and frozen tables.
 
 The naive functions here are deliberately slow and literal.  They share
-no code with the package and serve as independent oracles, except the
-inclusion-exclusion sums, which take the diagram totals N(k, n) from the
-package, and the series oracles at the end, which expand the generating
-functions term by term on the package's ``BivariateSeries`` arithmetic
-(itself checked against a naive product in test_series) with their own
-negative-binomial expansion.
+no code with the package and serve as independent oracles, except
+``count_at_least``, which takes the diagram totals N(k, n) from the
+package (``count_exact_short`` carries its own), and the series oracles
+at the end, which expand the generating functions term by term on the
+package's ``BivariateSeries`` arithmetic (itself checked against a naive
+product in test_series) with their own negative-binomial expansion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
+from hypothesis import settings
+
 from kchord import BivariateSeries, total_diagrams
+
+# A failing property test prints the blob that reproduces it
+# (@reproduce_failure).  The profile inherits the one already active, so
+# deadlines and example counts stay as they were, Hypothesis's own CI
+# profile included where it loads one.
+settings.register_profile("print-blob", print_blob=True)
+settings.load_profile("print-blob")
 
 # Reference values for k=3, frozen.
 # d(n, s): diagrams with exactly s short blocks.
@@ -174,6 +184,16 @@ def count_at_least(k: int, n: int, j: int) -> int:
     return total_diagrams(k, n - j) * comb(k * n - j * (k - 1), j)
 
 
+@lru_cache(maxsize=16)
+def marked_short_terms(k: int, n: int) -> tuple[int, ...]:
+    """a_j = C(k(n-j)+j, j) N(k, n-j) for j = 0..n: the placements of j
+    marked short chords, with N(k, i) carried as N(k, i-1) C(ki-1, k-1)."""
+    totals = [1]
+    for i in range(1, n + 1):
+        totals.append(totals[-1] * comb(k * i - 1, k - 1))
+    return tuple(comb(k * (n - j) + j, j) * totals[n - j] for j in range(n + 1))
+
+
 def count_exact_short(k: int, n: int, shorts: int) -> int:
     """Diagrams with exactly ``shorts`` short chords, by the literal
     inclusion-exclusion over marked placements:
@@ -182,9 +202,10 @@ def count_exact_short(k: int, n: int, shorts: int) -> int:
     """
     if shorts < 0 or shorts > n:
         return 0
+    marked = marked_short_terms(k, n)
     total = 0
     for j in range(shorts, n + 1):
-        term = comb(j, shorts) * comb(k * (n - j) + j, j) * total_diagrams(k, n - j)
+        term = comb(j, shorts) * marked[j]
         total += -term if (j - shorts) & 1 else term
     return total
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -367,6 +368,32 @@ class TestOeis:
             code, out, _ = run_cli(capsys, "oeis", "--seq", seq, "--terms", str(terms))
             assert code == 0
             assert out == "".join(lines[:terms]), f"{terms} terms"
+
+
+class TestGoldenDigests:
+    # sha256 of stdout at benchmark sizes, recorded before the kp2 weights
+    # were listed by bin count and the non-crossing rows were packed.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "table --k 5 --stat short --n-max 150 --route kp2 --format json",
+                "4bb5231d6f604d86178ab1b5ecd82240568f8fc1262988d2d73438263bd46d01",
+            ),
+            (
+                "table --k 4 --stat nc-short --n-max 60 --route recurrence --format bfile",
+                "8edfceb3f3000d7dc1c77ab5e3914c8779656c5b8b0036a5cc22cba2c8045bf6",
+            ),
+            (
+                "oeis --seq A334063 --terms 28",
+                "905ef96eb2600ad4f5bfb07cb112c60cd1e52099b3db22821c1c708b6d2f84fd",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestMemory:

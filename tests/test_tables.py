@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from conftest import D_TABLE_K3, T_TABLE_K3, count_exact_short, naive_enumerate, naive_stats
 from kchord import (
     CountTable,
+    SelfCheckError,
     d_table_kp1,
     d_table_kp2,
     fuss_catalan,
     noncrossing_table,
+    short_chord_row,
+    tables,
     total_diagrams,
 )
 from kchord.counting import count_zero_short, narayana
@@ -132,14 +135,24 @@ class TestShortChordTables:
         for n in range(41):
             assert t.rows[n][0] == count_zero_short(k, n)
 
-    @given(st.integers(2, 7), st.integers(0, 30))
+    @given(st.integers(2, 9), st.integers(0, 60))
     @settings(max_examples=30, deadline=None)
     def test_kernels_agree(self, k, n):
-        kp1, kp2 = d_table_kp1(k, n).rows[n], d_table_kp2(k, n).rows[n]
+        kp1, kp2 = d_table_kp1(k, n).rows, d_table_kp2(k, n).rows
         assert kp1 == kp2
-        assert kp1[0] == count_zero_short(k, n)
-        assert sum(kp1) == total_diagrams(k, n)
-        assert noncrossing_table(k, n).rows[n] == noncrossing_row(k, n)
+        assert list(kp2[n]) == short_chord_row(k, n)
+        assert kp2[n][0] == count_zero_short(k, n)
+        assert sum(kp2[n]) == total_diagrams(k, n)
+        nc = noncrossing_table(k, n).rows
+        assert nc[n] == noncrossing_row(k, n)
+        assert [sum(row) for row in nc] == [fuss_catalan(k, m) for m in range(n + 1)]
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 9])
+    @pytest.mark.parametrize("top", [0, 1])
+    def test_smallest_tables(self, k, top):
+        want = ((1,), (0, 1))[: top + 1]
+        assert d_table_kp2(k, top).rows == want
+        assert noncrossing_table(k, top).rows == want
 
     @pytest.mark.parametrize("build", [d_table_kp1, d_table_kp2, noncrossing_table])
     def test_rejects_bad_arguments(self, build):
@@ -211,6 +224,14 @@ class TestNoncrossingTable:
     def test_matches_all_powers(self, k):
         t = noncrossing_table(k, 30)
         assert [list(row) for row in t.rows] == noncrossing_by_all_powers(k, 30)
+
+    @pytest.mark.parametrize("width", [4, 8, 16, 40])
+    def test_narrow_slots_raise(self, monkeypatch, width):
+        # Slots too narrow for m P_m carry into each other; the slot-sum
+        # check must turn that into an error, never into wrong rows.
+        monkeypatch.setattr(tables, "_slot_width", lambda k, m_max: width)
+        with pytest.raises(SelfCheckError, match="overflowed"):
+            noncrossing_table(3, 30)
 
 
 class TestNoncrossingRow:
