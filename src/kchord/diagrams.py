@@ -15,8 +15,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import combinations, product
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from itertools import combinations, product, repeat
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 DEFAULT_ORACLE_BUDGET = 10**7
 
@@ -276,46 +276,62 @@ def _partitions(
     k: int,
     step: Callable[[Any, int], Any],
     root: Any,
-    leaf: Callable[[Any, int, int], Hashable],
+    pair: Callable[[int, int], Any],
+    leaf: Callable[[Any, Iterable, dict], None],
     block0: int = 0,
 ) -> dict[Hashable, int]:
-    """Histogram of ``leaf(state, a, b)`` over the partitions of
+    """The histogram that ``leaf`` fills over the partitions of
     range(vertices) into k-sets, at least two of them.
 
     The blocks of a partition are bitmasks in order of their lowest
     vertex.  ``state`` is ``root`` folded by ``step(state, m)`` over
-    every block but the last two, ``a`` and ``b``; each prefix is folded
-    once and shared by all partitions below it.  Each block takes the
-    lowest free vertex and k-1 partners from the rest (Knuth, TAOCP
-    7.2.1.5), and the last block takes what is left.  Candidate blocks
-    depend only on the free mask, so each walk builds them once per mask
-    (no state or histogram is reused).  A non-zero ``block0`` fixes the
-    block of vertex 0, so that the walks over its possible values split
-    the partitions into disjoint sub-ranges.
+    every block but the last two; each prefix is folded once and shared
+    by all partitions below it.  ``pair(free, a)`` gives the facts of
+    the last two blocks ``a`` and ``free - a`` that need no state, and
+    ``leaf(state, facts, hist)`` adds to ``hist`` every partition below
+    a node with two blocks left, one per entry of ``facts``.  Each block
+    takes the lowest free vertex and k-1 partners from the rest (Knuth,
+    TAOCP 7.2.1.5), and the last block takes what is left.  Candidate
+    blocks and pair facts depend only on the free mask, so each walk
+    builds them once for a mask two or more blocks down, which has many
+    parents (no state or histogram is reused).  A non-zero ``block0``
+    fixes the block of vertex 0, so that the walks over its possible
+    values split the partitions into disjoint sub-ranges.
     """
     n = vertices // k
     if n < 2:
         raise ValueError(f"the partition walk needs two or more blocks, got {n}")
     hist: dict[Hashable, int] = {}
-    get = hist.get
     children: dict[int, list[int]] = {}
+    facts: dict[int, list] = {}
+
+    def last_two(free: int) -> Iterator:
+        return map(pair, repeat(free), _blocks(free, k))
 
     def place(state: Any, free: int, depth: int, blocks: list[int]) -> None:
-        if depth + 2 == n:
+        if depth + 3 == n:  # fold the third block from last, count the last two
             for m in blocks:
-                key = leaf(state, m, free - m)
-                hist[key] = get(key, 0) + 1
+                rest = free - m
+                if depth:
+                    below = facts.get(rest) or facts.setdefault(rest, list(last_two(rest)))
+                else:  # a free mask one block down has one parent: no reuse
+                    below = last_two(rest)
+                leaf(step(state, m), below, hist)
             return
         for m in blocks:
             rest = free - m
             if depth:
                 below = children.get(rest) or children.setdefault(rest, _blocks(rest, k))
-            else:  # a free mask one block down has one parent: no reuse
+            else:
                 below = _blocks(rest, k)
             place(step(state, m), rest, depth + 1, below)
 
     free = (1 << vertices) - 1
-    place(root, free, 0, [block0] if block0 else _blocks(free, k))
+    top = [block0] if block0 else _blocks(free, k)
+    if n == 2:  # the root is the leaf level
+        leaf(root, map(pair, repeat(free), top), hist)
+    else:
+        place(root, free, 0, top)
     return hist
 
 
@@ -350,50 +366,71 @@ def _survey_step(state: tuple, m: int) -> tuple:
     return shorts, union, seen | m, crossed, outside + (s,)
 
 
-def _survey_leaf(state: tuple, a: int, b: int) -> tuple[int, int, int]:
-    """(short chords, components, non-crossing blocks) of the diagram
-    whose blocks are the prefix folded into ``state``, then ``a`` and
+def _survey_pair(free: int, a: int) -> tuple[int, int, int, int]:
+    """(short blocks, their union, the bits they add to ``crossed``,
+    non-crossing blocks) of the last two blocks ``a`` and ``b = free - a``.
+
+    Every vertex outside ``free`` is in an earlier block, so ``a``
+    crosses an earlier block iff its span meets ``~free``, and ``b``,
+    the last block, does unless it is short.  Otherwise the span of
+    ``a`` lies in ``free`` and misses every crossed block before it, so
+    ``a`` is non-crossing iff it is short or its span misses a crossed
     ``b``.
+    """
+    b = free - a
+    s = (1 << a.bit_length()) - (a & -a)  # _span, inlined
+    if b == (1 << b.bit_length()) - (b & -b):  # b is short
+        if a == s:
+            return 2, free, 0, 2
+        return (1, b, a, 1) if s & ~free else (1, b, 0, 2)
+    if a == s:
+        return 1, a, b, 1
+    if s & ~free:
+        return 0, 0, free, 0
+    return 0, 0, b, 0 if s & b else 1
+
+
+def _survey_leaf(state: tuple, facts: Iterable, hist: dict) -> None:
+    """Count (short chords, components, non-crossing blocks) for every
+    diagram whose blocks are the prefix folded into ``state``, then the
+    last two blocks of each entry of ``facts``.
 
     The components are the runs of the union U of the short blocks, one
     per bit of U & ~(U << 1), and a block is non-crossing iff its span
-    misses ``crossed``.  ``b`` is the last block, so its span meets an
-    earlier block unless it is short.
+    misses ``crossed``.
     """
-    shorts, union, seen, crossed, outside = state
-    s = (1 << a.bit_length()) - (a & -a)
-    if a == s:
-        shorts += 1
-        union |= a
-    elif s & seen:
-        crossed |= a
-    else:
-        outside += (s,)
-    s = (1 << b.bit_length()) - (b & -b)
-    if b == s:
-        shorts += 1
-        union |= b
-    else:
-        crossed |= b
-    noncrossing = shorts
-    for s in outside:
-        if not s & crossed:
-            noncrossing += 1
-    return shorts, (union & ~(union << 1)).bit_count(), noncrossing
+    shorts, union, _, crossed, outside = state
+    live = [s for s in outside if not s & crossed] if outside else outside
+    runs = (union & ~(union << 1)).bit_count()
+    get = hist.get
+    for more, covered, cross, noncrossing in facts:
+        noncrossing += shorts
+        for s in live:
+            if not s & cross:
+                noncrossing += 1
+        if covered:
+            u = union | covered
+            key = shorts + more, (u & ~(u << 1)).bit_count(), noncrossing
+        else:
+            key = shorts + more, runs, noncrossing
+        hist[key] = get(key, 0) + 1
 
 
 def stats(diagram: Diagram) -> BlockStats:
     """Compute the four block statistics of a diagram.
 
     The first three fold the survey's walk step over every block but the
-    last two and read the rest off its leaf, as the oracle does.
+    last two and read those two through its pair and leaf, as the
+    oracle does.
     """
     masks = diagram.masks()
     if diagram.n < 2:  # the empty diagram, or one short block
         shorts = components = noncrossing = diagram.n
     else:
         state = reduce(_survey_step, masks[:-2], _SURVEY_ROOT)
-        shorts, components, noncrossing = _survey_leaf(state, *masks[-2:])
+        hist: dict[tuple[int, int, int], int] = {}
+        _survey_leaf(state, [_survey_pair(masks[-2] | masks[-1], masks[-2])], hist)
+        ((shorts, components, noncrossing),) = hist
     return BlockStats(
         short_chords=shorts,
         components=components,
@@ -428,7 +465,7 @@ def survey(
         fixed = sum(1 << p for p in positions)
     if n < 2:  # the empty diagram, or one short block
         return {(n, n, n): 1}
-    return _partitions(k * n, k, _survey_step, _SURVEY_ROOT, _survey_leaf, fixed)
+    return _partitions(k * n, k, _survey_step, _SURVEY_ROOT, _survey_pair, _survey_leaf, fixed)
 
 
 def survey_parallel(

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import comb, sqrt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -241,24 +241,28 @@ def exhaustive_distribution(
     components: dict[int, int] = {}  # by union; a board has few distinct unions
 
     # The walk carries (polyominoes, union of the polyominoes) down each
-    # prefix of blocks.
+    # prefix of blocks, and ``pair`` gives the same two for the last two.
     def step(state: tuple[int, int], m: int) -> tuple[int, int]:
         return (state[0] + 1, state[1] | m) if m in connected else state
 
-    def leaf(state: tuple[int, int], a: int, b: int) -> tuple[int, int]:
-        polyominoes, union = state
+    def pair(free: int, a: int) -> tuple[int, int]:
+        b = free - a
         if a in connected:
-            polyominoes += 1
-            union |= a
-        if b in connected:
-            polyominoes += 1
-            union |= b
-        comps = components.get(union)
-        if comps is None:
-            comps = components[union] = _mask_components(nbrs, union)
-        return polyominoes, comps
+            return (2, free) if b in connected else (1, a)
+        return (1, b) if b in connected else (0, 0)
 
-    return _partitions(board.vertex_count, k, step, (0, 0), leaf)
+    def leaf(state: tuple[int, int], facts: Iterable, hist: dict) -> None:
+        polyominoes, union = state
+        get = hist.get
+        for more, covered in facts:
+            u = union | covered
+            comps = components.get(u)
+            if comps is None:
+                comps = components[u] = _mask_components(nbrs, u)
+            key = polyominoes + more, comps
+            hist[key] = get(key, 0) + 1
+
+    return _partitions(board.vertex_count, k, step, (0, 0), pair, leaf)
 
 
 @dataclass(frozen=True)

@@ -74,17 +74,16 @@ def d_table_kp1(k: int, n_max: int) -> CountTable:
 
 @lru_cache(maxsize=None)
 def _nonshort_block_power(k: int, p: int) -> tuple[int, ...]:
-    """Coefficients of (((1-x)^(1-k)) - 1)^p up to x^(k-1)."""
-    base = [0] + [comb(m + k - 2, k - 2) for m in range(1, k)]
-    out = [1] + [0] * (k - 1)
-    for _ in range(p):
-        nxt = [0] * k
-        for i, c in enumerate(out):
-            if not c:
-                continue
-            for m in range(1, k - i):
-                nxt[i + m] += c * base[m]
-        out = nxt
+    """Coefficients of (((1-x)^(1-k)) - 1)^p up to x^(k-1): the cached
+    power p - 1 times one factor, sum_{m>=1} C(m+k-2, k-2) x^m."""
+    if not p:
+        return (1,) + (0,) * (k - 1)
+    prev = _nonshort_block_power(k, p - 1)
+    factor = [comb(m + k - 2, k - 2) for m in range(1, k)]
+    out = [0] * k
+    for i in range(p - 1, k - 1):  # prev starts at x^(p-1)
+        if prev[i]:
+            out[i + 1 :] = [o + prev[i] * f for o, f in zip(out[i + 1 :], factor)]
     return tuple(out)
 
 

@@ -36,6 +36,7 @@ from kchord.diagrams import (
     _crosses,
     _partitions,
     _survey_leaf,
+    _survey_pair,
     _survey_step,
     block0_placements,
     noncrossing_survey,
@@ -108,15 +109,20 @@ def walk_words(k: int, n: int, block0: int = 0) -> list[tuple[int, ...]]:
     if n < 2:  # one diagram, with fewer blocks than the walk places
         return [(0,) * (k * n)]
 
-    def leaf(masks, a, b):
-        word = [0] * (k * n)
-        for label, mask in enumerate(masks + (a, b)):
-            for p in range(k * n):
-                if mask >> p & 1:
-                    word[p] = label
-        return tuple(word)
+    def leaf(masks, facts, hist):
+        for a, b in facts:
+            word = [0] * (k * n)
+            for label, mask in enumerate(masks + (a, b)):
+                for p in range(k * n):
+                    if mask >> p & 1:
+                        word[p] = label
+            word = tuple(word)
+            hist[word] = hist.get(word, 0) + 1
 
-    hist = _partitions(k * n, k, lambda masks, m: masks + (m,), (), leaf, block0)
+    def pair(free, a):
+        return a, free - a
+
+    hist = _partitions(k * n, k, lambda masks, m: masks + (m,), (), pair, leaf, block0)
     return [word for word, count in hist.items() for _ in range(count)]
 
 
@@ -128,15 +134,36 @@ def carried_and_linear_stats(k: int, n: int, block0: int) -> list[tuple]:
         carried, masks = state
         return _survey_step(carried, m), masks + (m,)
 
-    def leaf(state, a, b):
-        carried, masks = state
-        masks += (a, b)
-        word = tuple(next(i for i, m in enumerate(masks) if m >> p & 1) for p in range(k * n))
-        return masks, _survey_leaf(carried, a, b), naive_stats(word)[:3]
+    def pair(free, a):
+        return _survey_pair(free, a), a, free - a
 
-    hist = _partitions(k * n, k, step, (_SURVEY_ROOT, ()), leaf, block0)
+    def leaf(state, facts, hist):
+        carried, masks = state
+        for fact, a, b in facts:
+            counted: dict = {}
+            _survey_leaf(carried, [fact], counted)
+            assert list(counted.values()) == [1]
+            whole = masks + (a, b)
+            word = tuple(next(i for i, m in enumerate(whole) if m >> p & 1) for p in range(k * n))
+            key = whole, *counted, naive_stats(word)[:3]
+            hist[key] = hist.get(key, 0) + 1
+
+    hist = _partitions(k * n, k, step, (_SURVEY_ROOT, ()), pair, leaf, block0)
     assert set(hist.values()) == {1}
     return list(hist)
+
+
+def naive_block0_survey(k: int, n: int, block0) -> Counter:
+    """naive_stats[:3] over the diagrams whose block 0 is ``block0``:
+    that block, with every naive diagram on the other positions."""
+    rest = [p for p in range(k * n) if p not in block0]
+    want: Counter = Counter()
+    for sub in naive_enumerate(k, n - 1):
+        word = ["block0"] * (k * n)
+        for p, label in zip(rest, sub):
+            word[p] = label
+        want[naive_stats(word)[:3]] += 1
+    return want
 
 
 def as_mask(positions) -> int:
@@ -164,7 +191,7 @@ class TestEnumerate:
 
     def test_walk_needs_two_blocks(self):
         with pytest.raises(ValueError, match="two or more blocks"):
-            _partitions(3, 3, lambda masks, m: masks, (), lambda masks, a, b: 0)
+            _partitions(3, 3, lambda masks, m: masks, (), lambda free, a: a, lambda masks, facts, hist: None)
 
     def test_block0_restriction(self):
         for k, n in [(2, 3), (3, 3)]:
@@ -263,7 +290,9 @@ class TestStats:
 
 
 class TestSurvey:
-    @pytest.mark.parametrize("k,n", [(2, 0), (2, 4), (2, 5), (3, 3), (4, 2)])
+    @pytest.mark.parametrize(
+        "k,n", [(2, 0), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4), (2, 5)]
+    )
     def test_matches_enumeration_with_naive_stats(self, k, n):
         want: Counter = Counter(
             naive_stats(w)[:3] for w in naive_enumerate(k, n)
@@ -305,12 +334,25 @@ class TestSurvey:
                 visited += 1
         assert visited == total_diagrams(k, n)
 
-    @pytest.mark.parametrize("k,n", [(2, 5), (3, 3), (4, 2)])
+    # n = 2: the root is the leaf level; n = 3: the root folds its block
+    # and calls the leaf itself.
+    @pytest.mark.parametrize("k,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 5)])
     def test_block0_subranges_match_naive(self, k, n):
         words = [(naive_blocks(w)[0], naive_stats(w)[:3]) for w in naive_enumerate(k, n)]
         for b0 in block0_placements(k, n):
             want = Counter(key for first, key in words if first == b0)
             assert survey(k, n, block0=b0) == dict(want), b0
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_block0_matches_naive(self, data):
+        k = data.draw(st.integers(2, 4), label="k")
+        n = data.draw(st.integers(0, 4), label="n")
+        if n == 0:  # no block 0: the one empty diagram
+            assert survey(k, 0) == dict(Counter(naive_stats(w)[:3] for w in naive_enumerate(k, 0)))
+            return
+        b0 = data.draw(st.sampled_from(block0_placements(k, n)), label="block0")
+        assert survey(k, n, block0=b0) == dict(naive_block0_survey(k, n, b0))
 
     def test_rejects_bad_block0(self):
         for bad in [(1, 2), (0, 0), (0, 6), (0, 1, 2)]:

@@ -88,6 +88,34 @@ def naive_connected_sets(board: Board, k: int) -> set[frozenset]:
     return out
 
 
+def literal_distribution(board: Board, k: int) -> Counter:
+    """(polyominoes, components of their union) over every deal, from
+    naive_enumerate, naive_connected_sets and a search of the union."""
+    connected = naive_connected_sets(board, k)
+    adj = {v: set() for v in range(board.vertex_count)}
+    for a, b in board.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    hist: Counter = Counter()
+    for word in naive_enumerate(k, board.vertex_count // k):
+        polyominoes = [b for b in naive_blocks(word) if frozenset(b) in connected]
+        covered = set().union(*polyominoes)
+        seen: set = set()
+        components = 0
+        for v in covered:
+            if v in seen:
+                continue
+            components += 1
+            stack = [v]
+            seen.add(v)
+            while stack:
+                for w in adj[stack.pop()] & covered - seen:
+                    seen.add(w)
+                    stack.append(w)
+        hist[len(polyominoes), components] += 1
+    return hist
+
+
 class TestBoards:
     def test_path(self):
         b = path_board(5)
@@ -186,6 +214,17 @@ class TestExactStatistics:
             want[(s, q)] += 1
         got = exhaustive_distribution(path_board(k * n), k)
         assert got == dict(want)
+
+    # path:4 and path:6 have n = 2 blocks (the root is the leaf level),
+    # grid:2x3 and grid:3x3 have n = 3 (the root calls the leaf), and
+    # grid:2x4 and torus:3x4 have n = 4 (the walk keeps pair facts).
+    @pytest.mark.parametrize(
+        "spec,k",
+        [("path:4", 2), ("grid:2x3", 2), ("grid:2x4", 2), ("path:6", 3), ("grid:3x3", 3), ("torus:3x4", 3)],
+    )
+    def test_shallow_walks_match_literal_enumeration(self, spec, k):
+        board = board_from_spec(spec)
+        assert exhaustive_distribution(board, k) == dict(literal_distribution(board, k))
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

@@ -182,6 +182,18 @@ class TestKp2Coefficients:
                 for ell in range(n - p + 1):
                     assert kp2_coefficient(n, ell, p, k) == kp2_double_sum(n, ell, p, k)
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_block_powers_match_product_from_scratch(self, k):
+        factor = [comb(m + k - 2, k - 2) if m else 0 for m in range(k)]  # (1-x)^(1-k) - 1
+        want, wants = [1] + [0] * (k - 1), []
+        for p in range(k + 1):
+            wants.append(tuple(want))
+            assert wants[p] == tuple(balls_in_bins_coeff(j, p, 0, k) for j in range(k))
+            want = [sum(want[i] * factor[j - i] for i in range(j + 1)) for j in range(k)]
+        tables._nonshort_block_power.cache_clear()
+        for p in reversed(range(k + 1)):  # the highest power first, from an empty cache
+            assert tables._nonshort_block_power(k, p) == wants[p], p
+
     def test_balls_in_bins_small(self):
         # one run destroyed (p=1): [x^j] ((1-x)^-(k-1) - 1) scaled by l+1
         assert balls_in_bins_coeff(1, 1, 0, 3) == 2
