@@ -31,7 +31,6 @@ from .diagrams import (
     LatticePath,
     canonicalize,
     encode_lattice_path,
-    enumerate_noncrossing,
     stats,
     survey,
     survey_parallel,
@@ -82,7 +81,6 @@ __all__ = [
     "d_table_kp1",
     "d_table_kp2",
     "encode_lattice_path",
-    "enumerate_noncrossing",
     "exhaustive_distribution",
     "fuss_catalan",
     "grid_board",

@@ -495,24 +495,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="kchord",
-        description="Linear k-chord diagrams: exact counts, series, asymptotics, and the memory game.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, func):
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("stats", help="statistics of one diagram word")
+def _stats_arguments(p) -> None:
     p.add_argument("--word", required=True, help="comma-separated label word, e.g. 0,1,0,1")
     p.add_argument("--k", type=int, default=None, help="block size (inferred when omitted)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    common(p, _cmd_stats)
 
-    p = sub.add_parser("table", help="count table for one statistic")
+
+def _table_arguments(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--stat", choices=STATS, required=True)
     p.add_argument("--n-max", type=int, required=True, help="largest row (m-max for nc-short)")
@@ -521,31 +510,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=int, default=None, help="first index for bfile output (default 1)")
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--budget", type=int, default=None)
-    common(p, _cmd_table)
 
-    p = sub.add_parser("verify", help="cross-route and oracle agreement")
+
+def _verify_arguments(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--budget", type=int, default=None)
-    common(p, _cmd_verify)
 
-    p = sub.add_parser("series", help="generating-function coefficients as JSON")
+
+def _series_arguments(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--gf", choices=("F", "C", "T", "L"), required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--order2", type=int, default=None)
-    common(p, _cmd_series)
 
-    p = sub.add_parser("oeis", help="b-file for a registered sequence")
+
+def _oeis_arguments(p) -> None:
     p.add_argument("--seq", required=True)
     p.add_argument("--terms", type=nonnegative_int, default=20)
     p.add_argument("--k", type=int, default=None, help="slice parameter where required")
     p.add_argument("--offset", type=int, default=None)
-    common(p, _cmd_oeis)
 
-    p = sub.add_parser("memory", help="memory game on a board graph")
+
+def _memory_arguments(p) -> None:
     p.add_argument("--board", required=True, help="path:M | grid:RxC | torus:RxC | file.json")
     p.add_argument("--k", type=positive_int, required=True)
     mode = p.add_mutually_exclusive_group()
@@ -555,22 +544,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--format", choices=("text", "json", "csv"), default=None, help="default text; json for --sample")
     p.add_argument("--budget", type=int, default=None)
-    common(p, _cmd_memory)
 
-    p = sub.add_parser("asympt", help="convergence report for a statistic")
+
+def _asympt_arguments(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", choices=STATS, default="short")
     p.add_argument("--n", required=True, help="comma-separated n values")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p, _cmd_asympt)
 
+
+# name -> (help, adds the arguments, handler); every subcommand also takes --out.
+SUBCOMMANDS = {
+    "stats": ("statistics of one diagram word", _stats_arguments, _cmd_stats),
+    "table": ("count table for one statistic", _table_arguments, _cmd_table),
+    "verify": ("cross-route and oracle agreement", _verify_arguments, _cmd_verify),
+    "series": ("generating-function coefficients as JSON", _series_arguments, _cmd_series),
+    "oeis": ("b-file for a registered sequence", _oeis_arguments, _cmd_oeis),
+    "memory": ("memory game on a board graph", _memory_arguments, _cmd_memory),
+    "asympt": ("convergence report for a statistic", _asympt_arguments, _cmd_asympt),
+}
+
+
+def _add_subcommand(p, name: str) -> argparse.ArgumentParser:
+    _, add_arguments, handler = SUBCOMMANDS[name]
+    add_arguments(p)
+    p.add_argument("--out", default=None, help="output file (default stdout)")
+    p.set_defaults(command=name, func=handler)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand under ``kchord``."""
+    parser = _Parser(
+        prog="kchord",
+        description="Linear k-chord diagrams: exact counts, series, asymptotics, and the memory game.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, *_) in SUBCOMMANDS.items():
+        _add_subcommand(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line as ``build_parser`` does, building only the
+    named subcommand's parser when ``argv[0]`` names one."""
+    if argv and argv[0] in SUBCOMMANDS:
+        return _add_subcommand(_Parser(prog=f"kchord {argv[0]}"), argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -5,9 +5,10 @@ A diagram places ``k*n`` linearly ordered vertices into ``n`` blocks
 lists, for each position, the label of its block, with labels numbered
 by first occurrence.  This module provides canonicalization, per-diagram
 statistics computed on block bitmasks, the lattice-path encoding of
-non-crossing diagrams, and the one partition walk behind the brute-force
-statistics survey (the test oracle) and the memory game's exhaustive
-deals, with deterministic sub-ranges for parallel runs.
+non-crossing diagrams, the brute-force non-crossing survey on numpy level
+arrays, and the one partition walk behind the brute-force statistics
+survey (the test oracle) and the memory game's exhaustive deals, with
+deterministic sub-ranges for parallel runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 DEFAULT_ORACLE_BUDGET = 10**7
@@ -200,57 +201,108 @@ def encode_lattice_path(diagram: Diagram) -> LatticePath:
     return LatticePath("".join("D" if lasts >> p & 1 else "U" for p in range(len(diagram.word))))
 
 
-def _noncrossing_masks(k: int, m_max: int) -> Iterator[tuple[int, ...]]:
-    """Yield every non-crossing diagram of at most ``m_max`` blocks as
-    block bitmasks in order of their lowest vertex, level by level.
+NONCROSSING_SLICE_ROWS = 2048
+
+
+def _noncrossing_levels(k: int, m_max: int, rows: int = NONCROSSING_SLICE_ROWS) -> Iterator:
+    """Yield every non-crossing diagram of at most ``m_max`` blocks, level
+    by level, as slices of at most ``rows`` rows of an integer array: one
+    row per diagram and one column per block bitmask, blocks in order of
+    their lowest vertex.
 
     Vertex 0's block sits at p_0 = 0 < p_1 < ... < p_{k-1}.  The gap
     after p_i holds k*g_i vertices, g_0 + ... + g_{k-1} = m - 1 (a
-    composition drawn by stars and bars), filled by a smaller
-    non-crossing diagram shifted into place.  The levels below ``m_max``
-    are kept for the gaps; level ``m_max`` is streamed and not stored.
+    composition drawn by stars and bars), filled by a row of level g_i
+    shifted into place; each composition adds the cartesian product of
+    those levels, its rows found by index arithmetic.  The levels below
+    ``m_max`` are kept whole for the gaps.  Level ``m_max`` is built one
+    slice at a time into one buffer, so each of its slices is valid only
+    until the next is yielded.  Masks are int64 while k*m_max < 64 and
+    Python ints (dtype object) past that, so every mask is exact.
     """
-    levels: list[list[tuple[int, ...]]] = [[()]]
-    yield ()
+    import numpy as np
+
+    dtype = np.int64 if k * m_max < 64 else object
+    levels = [np.zeros((1, 0), dtype)]
+    yield levels[0]
     for m in range(1, m_max + 1):
-        level = []
         slots = m + k - 2  # m - 1 stars and k - 1 bars
+        pieces = []  # (block 0, [(gap level, shift)], rows of the product)
         for bars in combinations(range(slots), k - 1):
-            block, p, parts = 0, 0, []
+            block, p, parts, size = 0, 0, [], 1
             for lo, hi in zip((-1,) + bars, bars + (slots,)):
                 g = hi - lo - 1
                 block |= 1 << p
-                parts.append([tuple(x << (p + 1) for x in sub) for sub in levels[g]])
+                if g:
+                    parts.append((levels[g], p + 1))
+                    size *= len(levels[g])
                 p += k * g + 1
-            for pick in product(*parts):
-                masks = sum(pick, (block,))
-                if m < m_max:
-                    level.append(masks)
-                yield masks
-        levels.append(level)
+            pieces.append((block, parts, size))
+        total = sum(size for *_, size in pieces)
+        keep = m < m_max
+        out = np.empty((total if keep else min(rows, total), m), dtype)
+        start = at = 0  # level rows: the open slice starts at start, at are written
+        for block, parts, size in pieces:
+            first = 0
+            while first < size:
+                base = 0 if keep else start
+                count = min(size - first, start + rows - at)
+                _fill_product(out[at - base : at - base + count], block, parts, first)
+                first += count
+                at += count
+                if at == min(start + rows, total):
+                    yield out[start - base : at - base]
+                    start = at
+        if keep:
+            levels.append(out)
 
 
-def enumerate_noncrossing(k: int, n: int) -> Iterator[Diagram]:
-    """Yield every non-crossing diagram exactly once.
+def _fill_product(out, block: int, parts: list, first: int) -> None:
+    """Write rows ``first``.. of one composition's product into ``out``:
+    block 0 in column 0, then each gap's level row shifted into place."""
+    import numpy as np
 
-    Block i of the walk's masks is label i, so each word is canonical as
-    built.  The total count is the Fuss-Catalan number.
+    out[:, 0] = block
+    if not parts:
+        return
+    picks = np.unravel_index(np.arange(first, first + len(out)), [len(level) for level, _ in parts])
+    col = 1
+    for (level, shift), pick in zip(parts, picks):
+        width = level.shape[1]
+        np.left_shift(level[pick], shift, out=out[:, col : col + width])
+        col += width
+
+
+def _short_counts(masks) -> list[int]:
+    """Rows of one slice (blocks in order of lowest vertex) that are
+    non-crossing, counted by short blocks.
+
+    A row is non-crossing iff no block's span meets the union of the
+    earlier blocks, and its short blocks are those equal to their span.
+    Spans are exact at any width: int64 masks are smeared right, with no
+    float, and Python-int masks go through ``_span``.
     """
-    if k < 2 or n < 0:
-        raise ValueError("need k >= 2 and n >= 0")
-    for masks in _noncrossing_masks(k, n):
-        if len(masks) == n:
-            word = (label for p in range(k * n) for label, m in enumerate(masks) if m >> p & 1)
-            yield Diagram(k, n, tuple(word))
+    import numpy as np
+
+    if masks.dtype == object:
+        spans = np.frompyfunc(_span, 1, 1)(masks)
+    else:
+        top = masks.copy()
+        for shift in (1, 2, 4, 8, 16, 32):  # every bit below the highest one
+            top |= top >> shift
+        spans = top & -(masks & -masks)
+    seen = np.bitwise_or.accumulate(masks, axis=1)
+    crossing = ((spans[:, 1:] & seen[:, :-1]) != 0).any(axis=1)
+    shorts = (masks == spans).sum(axis=1)
+    return np.bincount(shorts[~crossing], minlength=masks.shape[1] + 1).tolist()
 
 
 def noncrossing_survey(k: int, m_max: int, budget: int | None = None) -> list[tuple[int, ...]]:
     """Brute-force non-crossing diagrams by short chords, rows m = 0..m_max.
 
-    One walk up to ``m_max``.  A diagram listed in order of lowest
-    vertex is non-crossing iff no block's span meets an earlier block,
-    so one forward pass checks each diagram and counts its short blocks;
-    a fault of the walk shows as a row summing short of Fuss-Catalan.
+    One walk up to ``m_max``, checked a slice at a time by
+    ``_short_counts``; a crossing row is dropped, so a fault of the walk
+    shows as a row summing short of Fuss-Catalan.
     """
     from .tables import fuss_catalan
 
@@ -258,16 +310,10 @@ def noncrossing_survey(k: int, m_max: int, budget: int | None = None) -> list[tu
         raise ValueError("need k >= 2 and m_max >= 0")
     oracle_budget(budget, fuss_catalan(k, m_max))
     rows = [[0] * (m + 1) for m in range(m_max + 1)]
-    for masks in _noncrossing_masks(k, m_max):
-        shorts = seen = 0
-        for m in masks:
-            s = (1 << m.bit_length()) - (m & -m)  # _span, inlined
-            if s & seen:
-                break
-            shorts += m == s
-            seen |= m
-        else:
-            rows[len(masks)][shorts] += 1
+    for masks in _noncrossing_levels(k, m_max):
+        row = rows[masks.shape[1]]
+        for s, count in enumerate(_short_counts(masks)):
+            row[s] += count
     return [tuple(row) for row in rows]
 
 

@@ -7,18 +7,20 @@ package (``count_exact_short`` carries its own), and the series oracles
 at the end, which expand the generating functions term by term on the
 package's ``BivariateSeries`` arithmetic (itself checked against a naive
 product in test_series) with their own negative-binomial expansion.
+``enumerate_noncrossing`` builds non-crossing diagrams by a tuple walk of
+its own, so the package's array walk is never checked against itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 
 from hypothesis import settings
 
-from kchord import BivariateSeries, total_diagrams
+from kchord import BivariateSeries, Diagram, total_diagrams
 
 # A failing property test prints the blob that reproduces it
 # (@reproduce_failure).  The profile inherits the one already active, so
@@ -168,6 +170,51 @@ def naive_enumerate(k: int, n: int):
                 word[p] = label
         words.append(tuple(word))
     return words
+
+
+def noncrossing_masks(k: int, m_max: int):
+    """Yield every non-crossing diagram of at most ``m_max`` blocks as a
+    tuple of block bitmasks in order of their lowest vertex, level by
+    level.
+
+    Vertex 0's block sits at p_0 = 0 < p_1 < ... < p_{k-1}.  The gap
+    after p_i holds k*g_i vertices, g_0 + ... + g_{k-1} = m - 1 (a
+    composition drawn by stars and bars), filled by a smaller
+    non-crossing diagram shifted into place.  The levels below ``m_max``
+    are kept for the gaps; level ``m_max`` is streamed and not stored.
+    """
+    levels: list[list[tuple[int, ...]]] = [[()]]
+    yield ()
+    for m in range(1, m_max + 1):
+        level = []
+        slots = m + k - 2  # m - 1 stars and k - 1 bars
+        for bars in combinations(range(slots), k - 1):
+            block, p, parts = 0, 0, []
+            for lo, hi in zip((-1,) + bars, bars + (slots,)):
+                g = hi - lo - 1
+                block |= 1 << p
+                parts.append([tuple(x << (p + 1) for x in sub) for sub in levels[g]])
+                p += k * g + 1
+            for pick in product(*parts):
+                masks = sum(pick, (block,))
+                if m < m_max:
+                    level.append(masks)
+                yield masks
+        levels.append(level)
+
+
+def enumerate_noncrossing(k: int, n: int):
+    """Yield every non-crossing diagram with n blocks exactly once.
+
+    Block i of the walk's masks is label i, so each word is canonical as
+    built.  The total count is the Fuss-Catalan number.
+    """
+    if k < 2 or n < 0:
+        raise ValueError("need k >= 2 and n >= 0")
+    for masks in noncrossing_masks(k, n):
+        if len(masks) == n:
+            word = (label for p in range(k * n) for label, m in enumerate(masks) if m >> p & 1)
+            yield Diagram(k, n, tuple(word))
 
 
 def count_at_least(k: int, n: int, j: int) -> int:

@@ -658,6 +658,40 @@ class TestArgumentErrors:
         assert "--jobs" in err
 
 
+# Top-level and per-subcommand help, an unknown command, missing, invalid
+# and unrecognized arguments, the mutually exclusive group, and valid lines.
+PARSER_CASES = [
+    "", "-h", "--help", "frobnicate --k 2",
+    *(f"{name} -h" for name in cli.SUBCOMMANDS),
+    "table", "table --k 2 --stat short", "table --k 3 --stat bogus --n-max 3",
+    "table --k x --stat short --n-max 3", "verify --k 2 --n-max 3 --jobs 0",
+    "stats --word 0,0 --extra", "table --k 3 --stat short --n-max 3 extra",
+    "memory --board path:4 --k 2 --mean --exhaustive", "memory --board path:4 --k 2 --sample 0",
+    "table --k 3 --stat nc-short --n-max 8 --route oracle --format json",
+    "memory --board grid:2x2 --k 2 --sample 10 --seed 3",
+    "asympt --k 3 --kind nc-short --n 50,100", "verify --k 3 --n-max 5 --m-max 4 --jobs 2",
+    "oeis --seq A091320 --terms 5 --out -", "stats --word 0,1,0,1 --format json", "table -- --k 2",
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        parsed, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        parsed, code = None, exc.code
+    captured = capsys.readouterr()
+    return parsed, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("line", PARSER_CASES)
+def test_lazy_parse_matches_full_parser(capsys, line):
+    """Building only the named subcommand's parser gives the namespace,
+    output and exit code of the full parser."""
+    argv = line.split()
+    want = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    assert _parse_outcome(cli.parse_args, argv, capsys) == want
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "kchord", "stats", "--word", "0,0"],

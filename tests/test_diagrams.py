@@ -2,28 +2,32 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     delete_block,
+    enumerate_noncrossing,
     naive_blocks,
     naive_crossing,
     naive_enumerate,
     naive_noncrossing_set,
     naive_stats,
+    noncrossing_masks,
 )
 from kchord import (
     BudgetExceededError,
     Diagram,
     canonicalize,
     encode_lattice_path,
-    enumerate_noncrossing,
     exhaustive_distribution,
     fuss_catalan,
+    noncrossing_table,
     path_board,
     stats,
     survey,
@@ -405,6 +409,37 @@ def test_budget_is_exact(oracle, size):
     assert oracle(size)  # the cap itself is within budget
 
 
+@lru_cache(maxsize=None)
+def naive_noncrossing_row(k: int, m: int) -> tuple[int, ...]:
+    """Non-crossing words with m blocks by short blocks, filtered from
+    every word by the literal crossing test."""
+    counts = [0] * (m + 1)
+    for word in naive_enumerate(k, m):
+        blocks = naive_blocks(word)
+        if not any(naive_crossing(a, b) for a, b in combinations(blocks, 2)):
+            counts[sum(b[-1] - b[0] == k - 1 for b in blocks)] += 1
+    return tuple(counts)
+
+
+def random_noncrossing_blocks(k: int, m: int, rng, first: int = 0) -> list[tuple[int, ...]]:
+    """The blocks of a random non-crossing diagram on vertices first..,
+    built as the walk builds them: block 0, then a smaller diagram in
+    each gap of a random composition of m - 1."""
+    if m == 0:
+        return []
+    bars = sorted(rng.sample(range(m + k - 2), k - 1))
+    block, rest, p = [], [], first
+    for lo, hi in zip([-1] + bars, bars + [m + k - 2]):
+        block.append(p)
+        rest += random_noncrossing_blocks(k, hi - lo - 1, rng, p + 1)
+        p += k * (hi - lo - 1) + 1
+    return [tuple(block)] + rest
+
+
+def largest_m(k: int, m_cap: int, size: int) -> int:
+    return max(m for m in range(m_cap + 1) if fuss_catalan(k, m) <= size)
+
+
 class TestNoncrossing:
     @pytest.mark.parametrize("k,m", [(2, 1), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)])
     def test_count_and_property(self, k, m):
@@ -439,20 +474,105 @@ class TestNoncrossing:
     )
     def test_survey_never_counts_a_crossing_diagram(self, monkeypatch, k, crossing):
         m = len(crossing)
-        walk = diagrams._noncrossing_masks
+        walk = diagrams._noncrossing_levels
         assert any(_crosses(a, b) for a, b in combinations(crossing, 2))
         lowest = [b & -b for b in crossing]
         assert lowest == sorted(lowest) and sum(crossing) == (1 << k * m) - 1
+        injected = []
 
         def walk_and_crossing(k, m_max):
-            yield from walk(k, m_max)
-            yield crossing
+            for masks in walk(k, m_max):
+                if masks.shape[1] == m and not injected:
+                    injected.append(len(masks) // 2)
+                    masks = np.insert(masks, injected[0], np.array(crossing, masks.dtype), axis=0)
+                yield masks
 
         want = noncrossing_survey(k, m)
-        monkeypatch.setattr(diagrams, "_noncrossing_masks", walk_and_crossing)
+        monkeypatch.setattr(diagrams, "_noncrossing_levels", walk_and_crossing)
         got = noncrossing_survey(k, m)
+        assert injected  # the crossing row sat inside a slice of level m
         assert got == want
         assert sum(got[m]) == fuss_catalan(k, m)
+
+    @pytest.mark.parametrize(
+        "k,m_max,rows", [(2, 6, 5), (2, 5, 4096), (3, 4, 7), (3, 5, 64), (4, 3, 1), (5, 3, 10), (6, 2, 2)]
+    )
+    def test_level_slices_match_tuple_walk(self, k, m_max, rows):
+        """The array walk lists the rows of the tuple walk, in its order, in
+        slices of ``rows`` that are full but for the last of each level."""
+        got, sizes = [], []
+        for masks in diagrams._noncrossing_levels(k, m_max, rows):
+            got.extend(tuple(map(int, row)) for row in masks)
+            sizes.append((masks.shape[1], len(masks)))
+        assert got == list(noncrossing_masks(k, m_max))
+        for m in range(m_max + 1):
+            level = [size for width, size in sizes if width == m]
+            assert level[:-1] == [rows] * (len(level) - 1) and 0 < level[-1] <= rows
+            assert sum(level) == fuss_catalan(k, m)
+
+    @pytest.mark.parametrize(
+        "k,m_max",
+        [(26, 2), (53, 1), (27, 2), (31, 2), (21, 3), (32, 2), (22, 3), (54, 1), (63, 1), (64, 1), (2, 0), (2, 1)],
+    )
+    def test_exact_at_word_size(self, k, m_max):
+        """Masks of 52 to 66 bits stay exact on either side of the int64
+        width; a short block of 54 or more vertices is where a float bit
+        length rounds up."""
+        assert noncrossing_survey(k, m_max) == list(noncrossing_table(k, m_max).rows)
+        dtype = next(diagrams._noncrossing_levels(k, m_max)).dtype
+        assert (dtype == object) == (k * m_max >= 64)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 136 // k))),
+        st.lists(st.tuples(st.integers(0, 2**32), st.booleans()), min_size=1, max_size=6),
+    )
+    def test_slice_check_matches_literal_definition(self, k_m, seeds):
+        """Random non-crossing rows, some with two vertices swapped between
+        blocks, up to 136 bits: the slice check against naive_crossing."""
+        k, m = k_m
+        rows = []
+        for seed, swap in seeds:
+            rng = random.Random(seed)
+            row = random_noncrossing_blocks(k, m, rng)
+            if swap and m >= 2:
+                i, j = rng.sample(range(m), 2)
+                a, b = rng.randrange(k), rng.randrange(k)
+                row[i], row[j] = list(row[i]), list(row[j])
+                row[i][a], row[j][b] = row[j][b], row[i][a]
+            rows.append(sorted(tuple(sorted(block)) for block in row))
+        self.assert_check_is_literal(k, m, rows)
+
+    @pytest.mark.parametrize("m", [12, 31, 32, 33])
+    def test_slice_check_finds_a_wide_crossing(self, m):
+        """Block {1, 2m-1} crosses {0, 2} only through its far end."""
+        shorts = [(v, v + 1) for v in range(3, 2 * m - 1, 2)]
+        self.assert_check_is_literal(2, m, [[(0, 2), (1, 2 * m - 1), *shorts], [(0, 2 * m - 1), (1, 2), *shorts]])
+
+    @staticmethod
+    def assert_check_is_literal(k, m, rows):
+        want = [0] * (m + 1)
+        for blocks in rows:
+            if not any(naive_crossing(a, b) for a, b in combinations(blocks, 2)):
+                want[sum(b[-1] - b[0] == k - 1 for b in blocks)] += 1
+        masks = [[sum(1 << v for v in block) for block in blocks] for blocks in rows]
+        for dtype in (np.int64, object) if k * m < 64 else (object,):
+            array = np.array(masks, dtype).reshape(len(rows), m)
+            assert diagrams._short_counts(array) == want, dtype
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 12 // k))))
+    def test_survey_matches_filtered_enumeration(self, k_m):
+        k, m_max = k_m
+        for m, row in enumerate(noncrossing_survey(k, m_max)):
+            assert row == naive_noncrossing_row(k, m), (k, m)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, largest_m(k, 8, 50_000)))))
+    def test_survey_matches_recurrence(self, k_m):
+        """k <= 8 and m <= 8, up to 50,000 diagrams in the top row."""
+        k, m_max = k_m
+        assert noncrossing_survey(k, m_max) == list(noncrossing_table(k, m_max).rows)
 
     def test_survey_budget(self):
         assert sum(noncrossing_survey(3, 4, budget=fuss_catalan(3, 4))[4]) == 55
