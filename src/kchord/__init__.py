@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from .asymptotics import (
     AsymptoticReport,
-    CharacteristicExpansion,
-    characteristic_expansion,
     nc_mean_report,
     nc_mean_variance,
     poisson_convergence_report,
@@ -64,7 +62,6 @@ __all__ = [
     "BlockStats",
     "Board",
     "BudgetExceededError",
-    "CharacteristicExpansion",
     "CountTable",
     "C_series",
     "Diagram",
@@ -76,7 +73,6 @@ __all__ = [
     "board_from_edges",
     "board_from_spec",
     "canonicalize",
-    "characteristic_expansion",
     "count_zero_short",
     "d_table_kp1",
     "d_table_kp2",

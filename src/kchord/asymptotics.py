@@ -10,7 +10,7 @@ The reports compute only the rows at the requested n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence
@@ -100,14 +100,12 @@ def _poisson_masses(lam: Fraction) -> Iterator[tuple[int, int]]:
         w_hi = -(-w_hi * a // (b * j))
 
 
-def tv_distance_interval(
-    row: Sequence[int], lam: Fraction, tail_tolerance: Fraction = TAIL_TOLERANCE
-) -> tuple[Fraction, Fraction]:
+def tv_distance_interval(row: Sequence[int], lam: Fraction) -> tuple[Fraction, Fraction]:
     """Certified bounds on the total-variation distance between the
     normalized histogram ``row`` and Poisson(lam).
 
     The Poisson support is cut at the first point past the row where the
-    certified tail mass drops below ``tail_tolerance``; both tails enter
+    certified tail mass drops below TAIL_TOLERANCE; both tails enter
     the distance, so the bounds cover the full supports.  All masses are
     integers scaled by 2^PRECISION_BITS and rounded outward (floor for a
     lower bound, ceiling for an upper one), so the returned fractions
@@ -118,7 +116,7 @@ def tv_distance_interval(
     if total <= 0:
         raise ValueError("empty distribution")
     one = 1 << PRECISION_BITS
-    tail_bound = tail_tolerance * one
+    tail_bound = TAIL_TOLERANCE * one
     sum_lo = sum_hi = 0
     dist_lo = dist_hi = 0
     for j, (q_lo, q_hi) in enumerate(_poisson_masses(lam)):
@@ -274,7 +272,7 @@ def nc_mean_report(k: int, n_values: Sequence[int]) -> AsymptoticReport:
     """Exact mean/n of the non-crossing short-chord rows against its limit."""
     n_values = list(n_values)
     _check_sizes(k, n_values)
-    limit = Fraction(k - 1, k) ** (k - 1)
+    limit = nc_mean_variance(k, 1)[0]
     exact = []
     errors = []
     for n in n_values:
@@ -292,115 +290,3 @@ def nc_mean_report(k: int, n_values: Sequence[int]) -> AsymptoticReport:
         errors_lower=tuple(errors),
         monotone=monotone,
     )
-
-
-# --- characteristic equation of the non-crossing model -----------------
-#
-# Series in eps = y - 1, truncated after eps^2, with Fraction
-# coefficients: enough to read off the mean and variance growth rates.
-
-_Eps = tuple[Fraction, Fraction, Fraction]
-
-_ZERO: _Eps = (Fraction(0), Fraction(0), Fraction(0))
-_ONE: _Eps = (Fraction(1), Fraction(0), Fraction(0))
-_EPS: _Eps = (Fraction(0), Fraction(1), Fraction(0))
-
-
-def _eadd(a: _Eps, b: _Eps) -> _Eps:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _esub(a: _Eps, b: _Eps) -> _Eps:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _emul(a: _Eps, b: _Eps) -> _Eps:
-    return (
-        a[0] * b[0],
-        a[0] * b[1] + a[1] * b[0],
-        a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-    )
-
-
-def _epow(a: _Eps, e: int) -> _Eps:
-    out = _ONE
-    for _ in range(e):
-        out = _emul(out, a)
-    return out
-
-
-def _einv(a: _Eps) -> _Eps:
-    c0, c1, c2 = a
-    if c0 == 0:
-        raise ZeroDivisionError("series has no reciprocal")
-    i0 = 1 / c0
-    i1 = -c1 / c0**2
-    i2 = (c1 * c1 - c0 * c2) / c0**3
-    return (i0, i1, i2)
-
-
-@dataclass(frozen=True)
-class CharacteristicExpansion:
-    """Second-order expansion of the saddle point about y = 1.
-
-    ``tau`` expands the characteristic root, ``rho`` the singularity
-    radius rho(y) = tau / phi(tau) with phi(u) = (1+u)^k - (1-y)(1+u).
-    The log-derivatives of rho at y = 1 give the growth rates of the
-    short-chord mean and variance over non-crossing diagrams.
-    """
-
-    k: int
-    tau: _Eps
-    rho: _Eps
-
-    @property
-    def mean_coefficient(self) -> Fraction:
-        return -self.rho[1] / self.rho[0]
-
-    @property
-    def variance_coefficient(self) -> Fraction:
-        r1 = self.rho[1] / self.rho[0]
-        r2 = 2 * self.rho[2] / self.rho[0]
-        return -r2 - r1 + r1 * r1
-
-
-def characteristic_expansion(k: int) -> CharacteristicExpansion:
-    """Solve phi(tau) = tau phi'(tau) as a series in y - 1.
-
-    tau(y) is found by undetermined coefficients, matching orders 0..2;
-    the order-0 root is 1/(k-1).  The equation is affine in each unknown
-    coefficient, so two evaluations pin each one down.
-    """
-    if k < 2:
-        raise ValueError("need k >= 2")
-
-    def residual(tau: _Eps) -> _Eps:
-        one_plus = _eadd(_ONE, tau)
-        phi = _eadd(_epow(one_plus, k), _emul(_EPS, one_plus))
-        grad = _epow(one_plus, k - 1)
-        dphi = _eadd((k * grad[0], k * grad[1], k * grad[2]), _EPS)
-        return _esub(phi, _emul(tau, dphi))
-
-    tau0 = Fraction(1, k - 1)
-    base = residual((tau0, Fraction(0), Fraction(0)))
-    if base[0] != 0:
-        raise counting.SelfCheckError("order-0 root check failed")
-
-    probe = residual((tau0, Fraction(1), Fraction(0)))
-    slope1 = probe[1] - base[1]
-    tau1 = -base[1] / slope1
-
-    base2 = residual((tau0, tau1, Fraction(0)))
-    probe2 = residual((tau0, tau1, Fraction(1)))
-    slope2 = probe2[2] - base2[2]
-    tau2 = -base2[2] / slope2
-
-    tau: _Eps = (tau0, tau1, tau2)
-    check = residual(tau)
-    if check != _ZERO:
-        raise counting.SelfCheckError("series solve left a residual")
-
-    one_plus = _eadd(_ONE, tau)
-    phi = _eadd(_epow(one_plus, k), _emul(_EPS, one_plus))
-    rho = _emul(tau, _einv(phi))
-    return CharacteristicExpansion(k=k, tau=tau, rho=rho)

@@ -204,11 +204,11 @@ def encode_lattice_path(diagram: Diagram) -> LatticePath:
 NONCROSSING_SLICE_ROWS = 2048
 
 
-def _noncrossing_levels(k: int, m_max: int, rows: int = NONCROSSING_SLICE_ROWS) -> Iterator:
+def _noncrossing_levels(k: int, m_max: int) -> Iterator:
     """Yield every non-crossing diagram of at most ``m_max`` blocks, level
-    by level, as slices of at most ``rows`` rows of an integer array: one
-    row per diagram and one column per block bitmask, blocks in order of
-    their lowest vertex.
+    by level, as slices of at most NONCROSSING_SLICE_ROWS rows of an
+    integer array: one row per diagram and one column per block bitmask,
+    blocks in order of their lowest vertex.
 
     Vertex 0's block sits at p_0 = 0 < p_1 < ... < p_{k-1}.  The gap
     after p_i holds k*g_i vertices, g_0 + ... + g_{k-1} = m - 1 (a
@@ -222,6 +222,7 @@ def _noncrossing_levels(k: int, m_max: int, rows: int = NONCROSSING_SLICE_ROWS) 
     """
     import numpy as np
 
+    rows = NONCROSSING_SLICE_ROWS
     dtype = np.int64 if k * m_max < 64 else object
     levels = [np.zeros((1, 0), dtype)]
     yield levels[0]

@@ -178,27 +178,25 @@ def connected_k_subgraphs(board: Board, k: int) -> int:
     return sum(1 for _ in connected_k_sets(board, k))
 
 
-def mean_polyominoes(board: Board, k: int, n: int | None = None) -> Fraction:
+def mean_polyominoes(board: Board, k: int) -> Fraction:
     """Expected polyomino count of a uniform deal: n * r / C(kn, k).
 
     >>> mean_polyominoes(grid_board(2, 2), 2)
     Fraction(4, 3)
     """
-    n = _resolve_n(board, k, n)
+    n = _resolve_n(board, k)
     if n == 0:
         return Fraction(0)
     r = connected_k_subgraphs(board, k)
     return Fraction(n * r, comb(k * n, k))
 
 
-def _resolve_n(board: Board, k: int, n: int | None) -> int:
+def _resolve_n(board: Board, k: int) -> int:
     if k < 2:
         raise ValueError("need k >= 2")
     blocks, rem = divmod(board.vertex_count, k)
     if rem:
         raise ValueError(f"{board.vertex_count} vertices not divisible by k={k}")
-    if n is not None and n != blocks:
-        raise ValueError(f"n={n} inconsistent with board size {board.vertex_count}")
     return blocks
 
 
@@ -222,16 +220,14 @@ def _mask_components(nbrs: Sequence[int], mask: int) -> int:
     return comps
 
 
-def exhaustive_distribution(
-    board: Board, k: int, n: int | None = None, budget: int | None = None
-) -> dict[tuple[int, int], int]:
+def exhaustive_distribution(board: Board, k: int, budget: int | None = None) -> dict[tuple[int, int], int]:
     """Histogram of (polyominoes, components) over every deal.
 
     Deals are partitions of the vertices into unlabeled k-sets, visited
     as block bitmasks by the partition walk of ``kchord.diagrams``; the
     count is total_diagrams(k, n), checked against the oracle budget.
     """
-    n = _resolve_n(board, k, n)
+    n = _resolve_n(board, k)
     oracle_budget(budget, total_diagrams(k, n))
     connected = set(connected_k_sets(board, k))
     if n < 2:  # one deal: no block, or the whole board
@@ -310,20 +306,13 @@ def _keys(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return keys
 
 
-def sample_placements(
-    board: Board,
-    k: int,
-    samples: int,
-    seed: int,
-    n: int | None = None,
-    chunk_size: int = SAMPLE_CHUNK,
-) -> SampleResult:
+def sample_placements(board: Board, k: int, samples: int, seed: int) -> SampleResult:
     """Sample uniform deals and estimate the mean polyomino count.
 
     Sampling is a seeded shuffle of the vertex list cut into consecutive
     k-blocks.  Streams are reproducible: chunk c of the run uses a
     Philox generator seeded with SeedSequence(seed, spawn_key=(c,)), so
-    results are deterministic for fixed (seed, samples, chunk_size).
+    results are deterministic for fixed (seed, samples, SAMPLE_CHUNK).
     Chunks run on up to one thread per available CPU; a chunk shuffles,
     keys and counts its rows in slices of SAMPLE_SLICE rows, each slice
     continuing the chunk's one stream, and the per-chunk histograms are
@@ -336,11 +325,10 @@ def sample_placements(
     against the ranks of the connected k-sets with np.isin, which needs
     C(V, k) < 2^63.
     """
-    n = _resolve_n(board, k, n)
+    n = _resolve_n(board, k)
     if samples < 1:
         raise ValueError("need samples >= 1")
-    if chunk_size < 1:
-        raise ValueError("need chunk_size >= 1")
+    chunk_size = SAMPLE_CHUNK
     weights, table, conn_keys = _block_key(board, k)
     v_count = board.vertex_count
 

@@ -29,15 +29,6 @@ class CountTable:
     kind: str
     rows: tuple[tuple[int, ...], ...]
 
-    def value(self, n: int, j: int) -> int:
-        if not 0 <= n < len(self.rows):
-            raise IndexError(f"row {n} not computed")
-        row = self.rows[n]
-        return row[j] if 0 <= j < len(row) else 0
-
-    def row_sum(self, n: int) -> int:
-        return sum(self.rows[n])
-
 
 def _check_table(k: int, n_max: int) -> None:
     if k < 2 or n_max < 0:
@@ -90,30 +81,18 @@ def _nonshort_block_power(k: int, p: int) -> tuple[int, ...]:
 def _fills(k: int, p: int, bins: int) -> int:
     """Ways to finish a block that destroys p short chords, for b = ``bins``.
 
-    sum_{j=p}^{k-1} [x^j] ((1-x)^(1-k) - 1)^p C(b+k-j-1, k-j-1): j of its
-    vertices fill out the p broken runs, and of the other k-j at least one
-    lands at home and the rest are scattered into the b bins (a hockey
-    stick over how many).
+    The weight of d(n, ell+p) in the append recurrence for d(n+1, ell) is
+    C(ell+p, p) _fills(k, p, kn - (k-1)(ell+p)).  Of the appended block,
+    h >= 1 vertices land at the home positions, f are scattered into the
+    b bins left by the surviving configuration (C(b+f-1, f) ways), and
+    the other j = k-h-f fill out the p broken runs (C(ell+p, p)
+    [x^j] ((1-x)^(1-k) - 1)^p ways).  For fixed j the sum over
+    f <= F = k-j-1 is the hockey stick C(b+F, F), so
+
+        _fills = sum_{j=p}^{k-1} [x^j] ((1-x)^(1-k) - 1)^p C(b+k-j-1, k-j-1).
     """
     power = _nonshort_block_power(k, p)
     return sum(power[j] * comb(bins + k - j - 1, k - j - 1) for j in range(p, k))
-
-
-def kp2_coefficient(n: int, ell: int, p: int, k: int) -> int:
-    """Weight of d(n, ell+p) in the append recurrence for d(n+1, ell).
-
-    Counts the ways the appended block destroys p short chords: h >= 1 of
-    its vertices land at the home positions, f are scattered into the
-    b = kn - (k-1)(ell+p) bins left by the surviving configuration
-    (C(b+f-1, f) ways), and the other j = k-h-f fill out the p broken
-    runs (C(ell+p, p) [x^j] ((1-x)^(1-k) - 1)^p ways).  For fixed j the
-    sum over f <= F = k-j-1 is the hockey stick C(b+F, F), so
-
-        weight = C(ell+p, p) sum_{j=p}^{k-1} [x^j] ((1-x)^(1-k) - 1)^p C(b+k-j-1, k-j-1).
-    """
-    if not 1 <= p <= k - 1:
-        raise ValueError("need 1 <= p <= k-1")
-    return comb(ell + p, p) * _fills(k, p, k * n - (k - 1) * (ell + p))
 
 
 def d_table_kp2(k: int, n_max: int) -> CountTable:
@@ -121,7 +100,7 @@ def d_table_kp2(k: int, n_max: int) -> CountTable:
 
         d(n+1, s) = d(n, s-1)
                   + d(n, s) * (C(kn - (k-1)s + k-1, k-1) - 1)
-                  + sum_{p=1}^{k-1} kp2_coefficient(n, s, p, k) * d(n, s+p)
+                  + sum_{p=1}^{k-1} C(s+p, p) _fills(k, p, kn - (k-1)(s+p)) d(n, s+p)
 
     The middle weight is sum_{h=1}^{k-1} C(b+k-h-1, k-h), b = kn - (k-1)s:
     h vertices of the new block at home and k-h scattered into b bins,

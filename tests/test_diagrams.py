@@ -497,11 +497,12 @@ class TestNoncrossing:
     @pytest.mark.parametrize(
         "k,m_max,rows", [(2, 6, 5), (2, 5, 4096), (3, 4, 7), (3, 5, 64), (4, 3, 1), (5, 3, 10), (6, 2, 2)]
     )
-    def test_level_slices_match_tuple_walk(self, k, m_max, rows):
+    def test_level_slices_match_tuple_walk(self, monkeypatch, k, m_max, rows):
         """The array walk lists the rows of the tuple walk, in its order, in
         slices of ``rows`` that are full but for the last of each level."""
+        monkeypatch.setattr(diagrams, "NONCROSSING_SLICE_ROWS", rows)
         got, sizes = [], []
-        for masks in diagrams._noncrossing_levels(k, m_max, rows):
+        for masks in diagrams._noncrossing_levels(k, m_max):
             got.extend(tuple(map(int, row)) for row in masks)
             sizes.append((masks.shape[1], len(masks)))
         assert got == list(noncrossing_masks(k, m_max))

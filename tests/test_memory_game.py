@@ -311,11 +311,12 @@ class TestSampling:
             ]
         ],
     )
-    def test_each_key_kind_matches_loop_reference(self, spec, k, kind):
+    def test_each_key_kind_matches_loop_reference(self, monkeypatch, spec, k, kind):
         board = board_from_spec(spec)
         assert key_kind(board, k) == kind
         # 1000 does not divide 2500: the last chunk is partial
-        r = sample_placements(board, k, 2500, seed=5, chunk_size=1000)
+        monkeypatch.setattr(memory_game, "SAMPLE_CHUNK", 1000)
+        r = sample_placements(board, k, 2500, seed=5)
         assert r.histogram == loop_histogram(board, k, 2500, 5, 1000)
 
     @pytest.mark.parametrize(
@@ -324,9 +325,10 @@ class TestSampling:
     def test_slices_that_do_not_divide_the_chunk(self, monkeypatch, spec, k, kind):
         # 7 divides neither 1000 nor the last chunk's 500 rows
         monkeypatch.setattr(memory_game, "SAMPLE_SLICE", 7)
+        monkeypatch.setattr(memory_game, "SAMPLE_CHUNK", 1000)
         board = board_from_spec(spec)
         assert key_kind(board, k) == kind
-        r = sample_placements(board, k, 2500, seed=8, chunk_size=1000)
+        r = sample_placements(board, k, 2500, seed=8)
         assert r.histogram == loop_histogram(board, k, 2500, 8, 1000)
 
     def test_histogram_independent_of_thread_count(self, monkeypatch):
@@ -338,11 +340,12 @@ class TestSampling:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(memory_game, "SAMPLE_CHUNK", 300)
         board = grid_board(4, 4)
         want = loop_histogram(board, 2, 2000, 6, 300)
 
         def histogram() -> dict:
-            return sample_placements(board, 2, 2000, seed=6, chunk_size=300).histogram
+            return sample_placements(board, 2, 2000, seed=6).histogram
 
         for cpus in (1, 3, 16):  # 16 CPUs: capped at the 7 chunks
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
@@ -362,21 +365,17 @@ class TestSampling:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
-    @pytest.mark.parametrize("chunk_size", [0, -1])
-    def test_rejects_chunk_size_below_one(self, chunk_size):
-        with pytest.raises(ValueError, match="need chunk_size >= 1"):
-            sample_placements(grid_board(2, 2), 2, 10, seed=0, chunk_size=chunk_size)
-
     @pytest.mark.parametrize(
         "spec, k, size, kind",
         [("grid:4x4", 2, 16**2, "base-V"), ("path:18", 6, 2**18, "bitmask")],
     )
     def test_table_limit_boundary(self, monkeypatch, spec, k, size, kind):
         board = board_from_spec(spec)
+        monkeypatch.setattr(memory_game, "SAMPLE_CHUNK", 300)
         for limit, want in [(size, kind), (size - 1, "isin")]:
             monkeypatch.setattr(memory_game, "TABLE_LIMIT", limit)
             assert key_kind(board, k) == want, limit
-            r = sample_placements(board, k, 700, seed=limit, chunk_size=300)
+            r = sample_placements(board, k, 700, seed=limit)
             assert r.histogram == loop_histogram(board, k, 700, limit, 300), limit
 
     @given(st.data())
@@ -387,14 +386,15 @@ class TestSampling:
         # tables here hold at most 2^8 entries, so a low limit reaches all three kinds
         limit = data.draw(st.integers(0, 300), label="TABLE_LIMIT")
         samples = data.draw(st.integers(1, 200), label="samples")
-        chunk_size = data.draw(st.integers(1, 64), label="chunk_size")
+        chunk_rows = data.draw(st.integers(1, 64), label="SAMPLE_CHUNK")
         slice_rows = data.draw(st.integers(1, 64), label="SAMPLE_SLICE")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(memory_game, "TABLE_LIMIT", limit)
             patch.setattr(memory_game, "SAMPLE_SLICE", slice_rows)
+            patch.setattr(memory_game, "SAMPLE_CHUNK", chunk_rows)
             event(key_kind(board, k))
-            r = sample_placements(board, k, samples, seed=limit, chunk_size=chunk_size)
-        assert r.histogram == loop_histogram(board, k, samples, limit, chunk_size)
+            r = sample_placements(board, k, samples, seed=limit)
+        assert r.histogram == loop_histogram(board, k, samples, limit, chunk_rows)
 
     def test_board_of_72_vertices(self):
         # 64 or more vertices once wrapped 64-bit block masks
