@@ -138,12 +138,15 @@ def rows_to_csv(rows) -> str:
 
 
 def rows_to_json(rows, k: int, stat: str) -> str:
-    payload = {
-        "k": k,
-        "kind": stat,
-        "rows": [[str(c) for c in row] for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The table as ``json.dumps({"k", "kind", "rows"}, indent=2)`` writes
+    it, entries as decimal strings, without the pure-Python encoder that
+    ``indent`` selects."""
+    lines = ",\n".join(
+        '    [\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]' if row else "    []"
+        for row in rows
+    )
+    body = f"[\n{lines}\n  ]" if rows else "[]"
+    return f'{{\n  "k": {k},\n  "kind": {json.dumps(stat)},\n  "rows": {body}\n}}\n'
 
 
 def linearize_rows(stat: str, rows) -> list[int]:

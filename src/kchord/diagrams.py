@@ -16,8 +16,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import combinations, repeat
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 DEFAULT_ORACLE_BUDGET = 10**7
 
@@ -323,8 +323,9 @@ def _partitions(
     k: int,
     step: Callable[[Any, int], Any],
     root: Any,
-    pair: Callable[[int, int], Any],
-    leaf: Callable[[Any, Iterable, dict], None],
+    extend: Callable[[int, int, Hashable], Hashable],
+    empty: Hashable,
+    leaf: Callable[[Any, list, dict], None],
     block0: int = 0,
 ) -> dict[Hashable, int]:
     """The histogram that ``leaf`` fills over the partitions of
@@ -332,59 +333,76 @@ def _partitions(
 
     The blocks of a partition are bitmasks in order of their lowest
     vertex.  ``state`` is ``root`` folded by ``step(state, m)`` over
-    every block but the last two; each prefix is folded once and shared
-    by all partitions below it.  ``pair(free, a)`` gives the facts of
-    the last two blocks ``a`` and ``free - a`` that need no state, and
-    ``leaf(state, facts, hist)`` adds to ``hist`` every partition below
-    a node with two blocks left, one per entry of ``facts``.  Each block
-    takes the lowest free vertex and k-1 partners from the rest (Knuth,
-    TAOCP 7.2.1.5), and the last block takes what is left.  Candidate
-    blocks and pair facts depend only on the free mask, so each walk
-    builds them once for a mask two or more blocks down, which has many
-    parents (no state or histogram is reused).  A non-zero ``block0``
-    fixes the block of vertex 0, so that the walks over its possible
-    values split the partitions into disjoint sub-ranges.
+    every block but the last t = min(n, 3); each prefix is folded once
+    and shared by all partitions below it.  The last t blocks are read
+    as facts that need no state: ``empty`` is the fact of no blocks, and
+    ``extend(free, a, fact)`` is the fact of the blocks of ``free`` whose
+    first block is ``a``, given ``fact`` of those of ``free - a``.  The
+    tail of a free mask lists each distinct fact of its partitions with
+    its multiplicity, built from the tails one block down, and
+    ``leaf(state, tail, hist)`` adds to ``hist`` the ``count`` partitions
+    of each ``(fact, count)`` of the tail below a node with t blocks
+    left.  Each block takes the lowest free vertex and k-1 partners from
+    the rest (Knuth, TAOCP 7.2.1.5).  Candidate blocks and tails depend
+    only on the free mask, so each walk keeps them for a mask that can
+    have several parents: one two or more blocks down, three with
+    ``block0`` fixed (no state or histogram is reused).  A mask with one
+    parent builds them when it is reached, and keeps none.  A non-zero
+    ``block0`` fixes the block of vertex 0, so that the walks over its
+    possible values split the partitions into disjoint sub-ranges.
     """
     n = vertices // k
     if n < 2:
         raise ValueError(f"the partition walk needs two or more blocks, got {n}")
     hist: dict[Hashable, int] = {}
     children: dict[int, list[int]] = {}
-    facts: dict[int, list] = {}
+    tails: dict[int, list] = {0: [(empty, 1)]}
+    shared = 3 if block0 else 2  # the first depth whose masks can have several parents
+    top = max(n - 3, 0)  # the depth of the leaf
 
-    def last_two(free: int) -> Iterator:
-        return map(pair, repeat(free), _blocks(free, k))
+    def tail(free: int, depth: int, blocks: list[int] | None = None) -> list:
+        """The tail of the mask ``free``, ``depth`` blocks down, which
+        ``tails`` does not hold."""
+        merged: dict[Hashable, int] = {}
+        get = merged.get
+        for a in _blocks(free, k) if blocks is None else blocks:
+            rest = free - a
+            for fact, count in tails.get(rest) or tail(rest, depth + 1):
+                fact = extend(free, a, fact)
+                merged[fact] = get(fact, 0) + count
+        got = list(merged.items())
+        if depth >= shared:
+            tails[free] = got
+        return got
 
     def place(state: Any, free: int, depth: int, blocks: list[int]) -> None:
-        if depth + 3 == n:  # fold the third block from last, count the last two
+        if depth + 1 == top:  # fold the last block of the prefix, count the tail
             for m in blocks:
                 rest = free - m
-                if depth:
-                    below = facts.get(rest) or facts.setdefault(rest, list(last_two(rest)))
-                else:  # a free mask one block down has one parent: no reuse
-                    below = last_two(rest)
-                leaf(step(state, m), below, hist)
+                leaf(step(state, m), tails.get(rest) or tail(rest, top), hist)
             return
         for m in blocks:
             rest = free - m
-            if depth:
-                below = children.get(rest) or children.setdefault(rest, _blocks(rest, k))
-            else:
+            if depth + 1 < shared:
                 below = _blocks(rest, k)
+            else:
+                below = children.get(rest) or children.setdefault(rest, _blocks(rest, k))
             place(step(state, m), rest, depth + 1, below)
 
     free = (1 << vertices) - 1
-    top = [block0] if block0 else _blocks(free, k)
-    if n == 2:  # the root is the leaf level
-        leaf(root, map(pair, repeat(free), top), hist)
-    else:
-        place(root, free, 0, top)
+    first = [block0] if block0 else _blocks(free, k)
+    if top:
+        place(root, free, 0, first)
+    else:  # the root is the leaf; with block0 fixed its tail is not the whole mask's
+        leaf(root, tail(free, 0, first), hist)
     return hist
 
 
 def _blocks(free: int, k: int) -> list[int]:
     """The lowest vertex of the mask ``free`` with each choice of k-1
     partners among its other vertices."""
+    if free.bit_count() == k:  # the last block
+        return [free]
     low, *bits = [1 << v for v in range(free.bit_length()) if free >> v & 1]
     return [low + partners for partners in map(sum, combinations(bits, k - 1))]
 
@@ -413,34 +431,35 @@ def _survey_step(state: tuple, m: int) -> tuple:
     return shorts, union, seen | m, crossed, outside + (s,)
 
 
-def _survey_pair(free: int, a: int) -> tuple[int, int, int, int]:
+_SURVEY_EMPTY = (0, 0, 0, 0)
+
+
+def _survey_extend(free: int, a: int, fact: tuple) -> tuple[int, int, int, int]:
     """(short blocks, their union, the bits they add to ``crossed``,
-    non-crossing blocks) of the last two blocks ``a`` and ``b = free - a``.
+    non-crossing blocks) of the blocks of ``free`` whose first block is
+    ``a``, from ``fact``, the same for those of ``free - a``.
 
     Every vertex outside ``free`` is in an earlier block, so ``a``
-    crosses an earlier block iff its span meets ``~free``, and ``b``,
-    the last block, does unless it is short.  Otherwise the span of
-    ``a`` lies in ``free`` and misses every crossed block before it, so
-    ``a`` is non-crossing iff it is short or its span misses a crossed
-    ``b``.
+    crosses an earlier block iff its span meets ``~free``.  Otherwise
+    the span of ``a`` lies in ``free`` and misses every crossed block
+    before it, so ``a`` is non-crossing iff it is short or its span
+    misses the later crossed blocks.  A later block that is not crossed
+    has its span in ``free - a``, which adding ``a`` to ``crossed``
+    leaves as it was.
     """
-    b = free - a
+    more, covered, cross, noncrossing = fact
     s = (1 << a.bit_length()) - (a & -a)  # _span, inlined
-    if b == (1 << b.bit_length()) - (b & -b):  # b is short
-        if a == s:
-            return 2, free, 0, 2
-        return (1, b, a, 1) if s & ~free else (1, b, 0, 2)
     if a == s:
-        return 1, a, b, 1
+        return more + 1, covered | a, cross, noncrossing + 1
     if s & ~free:
-        return 0, 0, free, 0
-    return 0, 0, b, 0 if s & b else 1
+        return more, covered, cross | a, noncrossing
+    return more, covered, cross, noncrossing if s & cross else noncrossing + 1
 
 
-def _survey_leaf(state: tuple, facts: Iterable, hist: dict) -> None:
-    """Count (short chords, components, non-crossing blocks) for every
-    diagram whose blocks are the prefix folded into ``state``, then the
-    last two blocks of each entry of ``facts``.
+def _survey_leaf(state: tuple, tail: list, hist: dict) -> None:
+    """Count (short chords, components, non-crossing blocks) for the
+    diagrams whose blocks are the prefix folded into ``state``, then the
+    last blocks of each fact of ``tail``, ``count`` diagrams per fact.
 
     The components are the runs of the union U of the short blocks, one
     per bit of U & ~(U << 1), and a block is non-crossing iff its span
@@ -450,7 +469,7 @@ def _survey_leaf(state: tuple, facts: Iterable, hist: dict) -> None:
     live = [s for s in outside if not s & crossed] if outside else outside
     runs = (union & ~(union << 1)).bit_count()
     get = hist.get
-    for more, covered, cross, noncrossing in facts:
+    for (more, covered, cross, noncrossing), count in tail:
         noncrossing += shorts
         for s in live:
             if not s & cross:
@@ -460,14 +479,14 @@ def _survey_leaf(state: tuple, facts: Iterable, hist: dict) -> None:
             key = shorts + more, (u & ~(u << 1)).bit_count(), noncrossing
         else:
             key = shorts + more, runs, noncrossing
-        hist[key] = get(key, 0) + 1
+        hist[key] = get(key, 0) + count
 
 
 def stats(diagram: Diagram) -> BlockStats:
     """Compute the four block statistics of a diagram.
 
     The first three fold the survey's walk step over every block but the
-    last two and read those two through its pair and leaf, as the
+    last two and read those two through its extend and leaf, as the
     oracle does.
     """
     masks = diagram.masks()
@@ -476,7 +495,9 @@ def stats(diagram: Diagram) -> BlockStats:
     else:
         state = reduce(_survey_step, masks[:-2], _SURVEY_ROOT)
         hist: dict[tuple[int, int, int], int] = {}
-        _survey_leaf(state, [_survey_pair(masks[-2] | masks[-1], masks[-2])], hist)
+        last = _survey_extend(masks[-1], masks[-1], _SURVEY_EMPTY)
+        last = _survey_extend(masks[-2] | masks[-1], masks[-2], last)
+        _survey_leaf(state, [(last, 1)], hist)
         ((shorts, components, noncrossing),) = hist
     return BlockStats(
         short_chords=shorts,
@@ -512,7 +533,9 @@ def survey(
         fixed = sum(1 << p for p in positions)
     if n < 2:  # the empty diagram, or one short block
         return {(n, n, n): 1}
-    return _partitions(k * n, k, _survey_step, _SURVEY_ROOT, _survey_pair, _survey_leaf, fixed)
+    return _partitions(
+        k * n, k, _survey_step, _SURVEY_ROOT, _survey_extend, _SURVEY_EMPTY, _survey_leaf, fixed
+    )
 
 
 def survey_parallel(

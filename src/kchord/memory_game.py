@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import comb, sqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -237,28 +237,25 @@ def exhaustive_distribution(board: Board, k: int, budget: int | None = None) -> 
     components: dict[int, int] = {}  # by union; a board has few distinct unions
 
     # The walk carries (polyominoes, union of the polyominoes) down each
-    # prefix of blocks, and ``pair`` gives the same two for the last two.
+    # prefix of blocks, and ``extend`` gives the same two for the last ones.
     def step(state: tuple[int, int], m: int) -> tuple[int, int]:
         return (state[0] + 1, state[1] | m) if m in connected else state
 
-    def pair(free: int, a: int) -> tuple[int, int]:
-        b = free - a
-        if a in connected:
-            return (2, free) if b in connected else (1, a)
-        return (1, b) if b in connected else (0, 0)
+    def extend(free: int, a: int, fact: tuple[int, int]) -> tuple[int, int]:
+        return (fact[0] + 1, fact[1] | a) if a in connected else fact
 
-    def leaf(state: tuple[int, int], facts: Iterable, hist: dict) -> None:
+    def leaf(state: tuple[int, int], tail: list, hist: dict) -> None:
         polyominoes, union = state
         get = hist.get
-        for more, covered in facts:
+        for (more, covered), count in tail:
             u = union | covered
             comps = components.get(u)
             if comps is None:
                 comps = components[u] = _mask_components(nbrs, u)
             key = polyominoes + more, comps
-            hist[key] = get(key, 0) + 1
+            hist[key] = get(key, 0) + count
 
-    return _partitions(board.vertex_count, k, step, (0, 0), pair, leaf)
+    return _partitions(board.vertex_count, k, step, (0, 0), extend, (0, 0), leaf)
 
 
 @dataclass(frozen=True)

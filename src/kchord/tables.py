@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import comb
 from operator import add, mul
 
@@ -78,21 +78,33 @@ def _nonshort_block_power(k: int, p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _fills(k: int, p: int, bins: int) -> int:
-    """Ways to finish a block that destroys p short chords, for b = ``bins``.
+def _fills(k: int, p: int, lo: int, hi: int) -> list[int]:
+    """Ways to finish a block that destroys p short chords, for each bin
+    count b = ``lo``..``hi``-1.
 
     The weight of d(n, ell+p) in the append recurrence for d(n+1, ell) is
-    C(ell+p, p) _fills(k, p, kn - (k-1)(ell+p)).  Of the appended block,
-    h >= 1 vertices land at the home positions, f are scattered into the
-    b bins left by the surviving configuration (C(b+f-1, f) ways), and
-    the other j = k-h-f fill out the p broken runs (C(ell+p, p)
-    [x^j] ((1-x)^(1-k) - 1)^p ways).  For fixed j the sum over
-    f <= F = k-j-1 is the hockey stick C(b+F, F), so
+    C(ell+p, p) _fills(k, p, b, b+1)[0], b = kn - (k-1)(ell+p).  Of the
+    appended block, h >= 1 vertices land at the home positions, f are
+    scattered into the b bins left by the surviving configuration
+    (C(b+f-1, f) ways), and the other j = k-h-f fill out the p broken
+    runs (C(ell+p, p) [x^j] ((1-x)^(1-k) - 1)^p ways).  For fixed j the
+    sum over f <= F = k-j-1 is the hockey stick C(b+F, F), so
 
         _fills = sum_{j=p}^{k-1} [x^j] ((1-x)^(1-k) - 1)^p C(b+k-j-1, k-j-1).
+
+    The binomials C(b+F, F), F < k-p, start at b = lo by the ratio
+    C(b+F, F) = C(b+F-1, F-1) (b+F)/F and step to b+1 by the hockey
+    stick C(b+1+F, F) = sum_{i<=F} C(b+i, i), a running sum.
     """
-    power = _nonshort_block_power(k, p)
-    return sum(power[j] * comb(bins + k - j - 1, k - j - 1) for j in range(p, k))
+    power = _nonshort_block_power(k, p)[p:][::-1]  # [x^j] for j = k-1, ..., p: F = 0, 1, ...
+    binoms = [1]
+    for f in range(1, k - p):
+        binoms.append(binoms[-1] * (lo + f) // f)
+    out = []
+    for _ in range(lo, hi):
+        out.append(sum(map(mul, power, binoms)))
+        binoms = list(accumulate(binoms))
+    return out
 
 
 def d_table_kp2(k: int, n_max: int) -> CountTable:
@@ -100,14 +112,15 @@ def d_table_kp2(k: int, n_max: int) -> CountTable:
 
         d(n+1, s) = d(n, s-1)
                   + d(n, s) * (C(kn - (k-1)s + k-1, k-1) - 1)
-                  + sum_{p=1}^{k-1} C(s+p, p) _fills(k, p, kn - (k-1)(s+p)) d(n, s+p)
+                  + sum_{p=1}^{k-1} C(s+p, p) F_p(kn - (k-1)(s+p)) d(n, s+p)
 
     The middle weight is sum_{h=1}^{k-1} C(b+k-h-1, k-h), b = kn - (k-1)s:
     h vertices of the new block at home and k-h scattered into b bins,
-    summed by the hockey stick.  Both weights depend on n and s only
-    through the bin count, so each is listed once per table by b, and
-    row n reads b = kn, kn-(k-1), ... as one stride-(k-1) slice.  The
-    p-th list holds _fills only at the bins some row reads,
+    summed by the hockey stick, and F_p(b) is _fills(k, p, b, b+1)[0].
+    Both weights depend on n and s only through the bin count, so each
+    is listed once per table by b, and row n reads b = kn, kn-(k-1), ...
+    as one stride-(k-1) slice.  The
+    p-th list holds F_p only at the bins some row reads,
     b = n + (k-1)u with p+u <= n < n_max: one run of b per u.
     """
     _check_table(k, n_max)
@@ -119,7 +132,7 @@ def d_table_kp2(k: int, n_max: int) -> CountTable:
         done = 0
         for u in range(n_max - p):
             lo, hi = max(p + k * u, done), n_max + (k - 1) * u
-            fills[lo:hi] = [_fills(k, p, b) for b in range(lo, hi)]
+            fills[lo:hi] = _fills(k, p, lo, hi)
             done = hi
         weights.append((fills, [comb(s + p, p) for s in range(n_max)]))
     rows: list[tuple[int, ...]] = [(1,)]

@@ -88,6 +88,22 @@ class TestTable:
         assert data["k"] == 3 and data["kind"] == "components"
         assert data["rows"][2] == [str(c) for c in C_TABLE_K3[2]]
 
+    @pytest.mark.parametrize(
+        "rows, k, stat",
+        [
+            ([], 2, "short"),
+            ([()], 3, "components"),
+            ([(1,)], 2, "nc-short"),
+            ([(), (0, 1), ()], 4, "short"),
+            ([C_TABLE_K3[n] for n in sorted(C_TABLE_K3)], 3, "components"),
+            (list(tables.d_table_kp2(5, 40).rows), 5, "short"),
+            (list(tables.noncrossing_table(3, 12).rows), 3, "nc-short"),
+        ],
+    )
+    def test_json_text_matches_json_dumps(self, rows, k, stat):
+        payload = {"k": k, "kind": stat, "rows": [[str(c) for c in row] for row in rows]}
+        assert cli.rows_to_json(rows, k, stat) == json.dumps(payload, indent=2) + "\n"
+
     def test_bfile_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "table", "--k", "3", "--stat", "nc-short",

@@ -36,11 +36,13 @@ from kchord import (
 )
 from kchord import diagrams
 from kchord.diagrams import (
+    _SURVEY_EMPTY,
     _SURVEY_ROOT,
     _crosses,
     _partitions,
+    _span,
+    _survey_extend,
     _survey_leaf,
-    _survey_pair,
     _survey_step,
     block0_placements,
     noncrossing_survey,
@@ -109,24 +111,25 @@ class TestCanonicalize:
 
 def walk_words(k: int, n: int, block0: int = 0) -> list[tuple[int, ...]]:
     """The partition walk's diagrams as label words, each as often as
-    the walk visits it."""
+    the walk counts it.  The tail facts are the last blocks themselves,
+    so no two partitions share a fact."""
     if n < 2:  # one diagram, with fewer blocks than the walk places
         return [(0,) * (k * n)]
 
-    def leaf(masks, facts, hist):
-        for a, b in facts:
+    def leaf(masks, tail, hist):
+        for last, count in tail:
             word = [0] * (k * n)
-            for label, mask in enumerate(masks + (a, b)):
+            for label, mask in enumerate(masks + last):
                 for p in range(k * n):
                     if mask >> p & 1:
                         word[p] = label
             word = tuple(word)
-            hist[word] = hist.get(word, 0) + 1
+            hist[word] = hist.get(word, 0) + count
 
-    def pair(free, a):
-        return a, free - a
+    def extend(free, a, last):
+        return (a,) + last
 
-    hist = _partitions(k * n, k, lambda masks, m: masks + (m,), (), pair, leaf, block0)
+    hist = _partitions(k * n, k, lambda masks, m: masks + (m,), (), extend, (), leaf, block0)
     return [word for word, count in hist.items() for _ in range(count)]
 
 
@@ -138,23 +141,36 @@ def carried_and_linear_stats(k: int, n: int, block0: int) -> list[tuple]:
         carried, masks = state
         return _survey_step(carried, m), masks + (m,)
 
-    def pair(free, a):
-        return _survey_pair(free, a), a, free - a
+    def extend(free, a, fact):
+        counted, last = fact
+        return _survey_extend(free, a, counted), (a,) + last
 
-    def leaf(state, facts, hist):
+    def leaf(state, tail, hist):
         carried, masks = state
-        for fact, a, b in facts:
+        for (fact, last), count in tail:
             counted: dict = {}
-            _survey_leaf(carried, [fact], counted)
-            assert list(counted.values()) == [1]
-            whole = masks + (a, b)
+            _survey_leaf(carried, [(fact, count)], counted)
+            assert list(counted.values()) == [count] == [1]
+            whole = masks + last
             word = tuple(next(i for i, m in enumerate(whole) if m >> p & 1) for p in range(k * n))
             key = whole, *counted, naive_stats(word)[:3]
             hist[key] = hist.get(key, 0) + 1
 
-    hist = _partitions(k * n, k, step, (_SURVEY_ROOT, ()), pair, leaf, block0)
+    hist = _partitions(k * n, k, step, (_SURVEY_ROOT, ()), extend, (_SURVEY_EMPTY, ()), leaf, block0)
     assert set(hist.values()) == {1}
     return list(hist)
+
+
+def tail_sums(k: int, n: int, block0: int, extend, empty) -> list[tuple[int, int]]:
+    """(blocks in the tail, the sum of its multiplicities) for each tail
+    that the walk hands to its leaf."""
+    sums = []
+
+    def leaf(depth, tail, hist):
+        sums.append((n - depth, sum(count for _, count in tail)))
+
+    _partitions(k * n, k, lambda depth, m: depth + 1, 0, extend, empty, leaf, block0)
+    return sums
 
 
 def naive_block0_survey(k: int, n: int, block0) -> Counter:
@@ -195,7 +211,7 @@ class TestEnumerate:
 
     def test_walk_needs_two_blocks(self):
         with pytest.raises(ValueError, match="two or more blocks"):
-            _partitions(3, 3, lambda masks, m: masks, (), lambda free, a: a, lambda masks, facts, hist: None)
+            _partitions(3, 3, lambda masks, m: masks, (), lambda free, a, fact: fact, (), lambda masks, tail, hist: None)
 
     def test_block0_restriction(self):
         for k, n in [(2, 3), (3, 3)]:
@@ -204,6 +220,34 @@ class TestEnumerate:
             for b0 in block0_placements(k, n):
                 split.update(walk_words(k, n, as_mask(b0)))
             assert whole == split, (k, n)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tail_multiplicities_sum_to_partition_count(self, data):
+        """Each tail the leaf gets counts every partition of its free mask
+        once: its multiplicities sum to N(k, t) for t blocks, or to
+        N(k, n - 1) when the root is the leaf and block 0 is fixed.  The
+        coarser the fact, the more partitions share one entry."""
+        k = data.draw(st.integers(2, 4), label="k")
+        n = data.draw(st.integers(2, {2: 6, 3: 5, 4: 3}[k]), label="n")
+        fixed = data.draw(st.booleans(), label="fixed")
+        block0 = as_mask(data.draw(st.sampled_from(block0_placements(k, n)))) if fixed else 0
+        extend, empty = data.draw(
+            st.sampled_from(
+                [
+                    (_survey_extend, _SURVEY_EMPTY),
+                    (lambda free, a, shorts: shorts + (a == _span(a)), 0),
+                    (lambda free, a, fact: fact, None),
+                ]
+            ),
+            label="fact",
+        )
+        sums = tail_sums(k, n, block0, extend, empty)
+        for t, total in sums:
+            assert t == min(n, 3)
+            assert total == total_diagrams(k, n - 1 if block0 and t == n else t)
+        placements = len(block0_placements(k, n)) if block0 else 1
+        assert placements * sum(total for _, total in sums) == total_diagrams(k, n)
 
     def test_walks_share_no_child_blocks(self):
         """The child blocks looked up by free mask depend on k, so
@@ -317,11 +361,14 @@ class TestSurvey:
 
     @given(
         st.tuples(st.integers(2, 7), st.integers(1, 5)).filter(
-            lambda kn: total_diagrams(*kn) <= 3000
+            lambda kn: total_diagrams(*kn) <= 20000
         )
     )
     @settings(max_examples=25, deadline=None)
     def test_random_block0_subranges_sum_to_whole(self, kn):
+        """n = 2: the root's tail is built from block 0 alone; n = 3: the
+        root is the leaf; n = 4: the leaf is one block down, where no
+        tail is kept (up to (3, 4) and (4, 3))."""
         k, n = kn
         merged: Counter = Counter()
         for b0 in block0_placements(k, n):

@@ -55,7 +55,8 @@ def kp2_double_sum(n: int, ell: int, p: int, k: int) -> int:
 def kp2_weight(n: int, ell: int, p: int, k: int) -> int:
     """The weight of d(n, ell+p) in the append recurrence for d(n+1, ell),
     as ``d_table_kp2`` computes it."""
-    return comb(ell + p, p) * _fills(k, p, k * n - (k - 1) * (ell + p))
+    bins = k * n - (k - 1) * (ell + p)
+    return comb(ell + p, p) * _fills(k, p, bins, bins + 1)[0]
 
 
 def noncrossing_by_all_powers(k: int, m_max: int) -> list[list[int]]:
