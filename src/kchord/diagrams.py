@@ -7,15 +7,13 @@ by first occurrence.  This module provides canonicalization, per-diagram
 statistics computed on block bitmasks, the lattice-path encoding of
 non-crossing diagrams, the brute-force non-crossing survey on numpy level
 arrays, and the one partition walk behind the brute-force statistics
-survey (the test oracle) and the memory game's exhaustive deals, with
-deterministic sub-ranges for parallel runs.
+survey (the test oracle) and the memory game's exhaustive deals.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial, reduce
 from itertools import combinations
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
@@ -157,17 +155,6 @@ def canonicalize(word: Sequence[Hashable], k: int | None = None) -> Diagram:
         if rem:
             raise ValueError("word length not divisible by symbol count")
     return Diagram(k, n, tuple(relabeled))
-
-
-def block0_placements(k: int, n: int) -> list[tuple[int, ...]]:
-    """All possible position sets for block 0 (always containing 0).
-
-    Fixing one of these splits the enumeration into independent,
-    deterministic sub-ranges.
-    """
-    if n == 0:
-        return []
-    return [(0,) + rest for rest in combinations(range(1, k * n), k - 1)]
 
 
 def _span(mask: int) -> int:
@@ -321,81 +308,74 @@ def noncrossing_survey(k: int, m_max: int, budget: int | None = None) -> list[tu
 def _partitions(
     vertices: int,
     k: int,
-    step: Callable[[Any, int], Any],
-    root: Any,
+    step: Callable[[int, Any, int], Any],
+    root: Hashable,
     extend: Callable[[int, int, Hashable], Hashable],
     empty: Hashable,
-    leaf: Callable[[Any, list, dict], None],
-    block0: int = 0,
+    leaf: Callable[[Any, list, dict, int], None],
 ) -> dict[Hashable, int]:
     """The histogram that ``leaf`` fills over the partitions of
     range(vertices) into k-sets, at least two of them.
 
     The blocks of a partition are bitmasks in order of their lowest
-    vertex.  ``state`` is ``root`` folded by ``step(state, m)`` over
-    every block but the last t = min(n, 3); each prefix is folded once
-    and shared by all partitions below it.  The last t blocks are read
-    as facts that need no state: ``empty`` is the fact of no blocks, and
-    ``extend(free, a, fact)`` is the fact of the blocks of ``free`` whose
-    first block is ``a``, given ``fact`` of those of ``free - a``.  The
-    tail of a free mask lists each distinct fact of its partitions with
-    its multiplicity, built from the tails one block down, and
-    ``leaf(state, tail, hist)`` adds to ``hist`` the ``count`` partitions
-    of each ``(fact, count)`` of the tail below a node with t blocks
-    left.  Each block takes the lowest free vertex and k-1 partners from
-    the rest (Knuth, TAOCP 7.2.1.5).  Candidate blocks and tails depend
-    only on the free mask, so each walk keeps them for a mask that can
-    have several parents: one two or more blocks down, three with
-    ``block0`` fixed (no state or histogram is reused).  A mask with one
-    parent builds them when it is reached, and keeps none.  A non-zero
-    ``block0`` fixes the block of vertex 0, so that the walks over its
-    possible values split the partitions into disjoint sub-ranges.
+    vertex; each block takes the lowest free vertex and k-1 partners
+    from the rest (Knuth, TAOCP 7.2.1.5).  The walk goes one layer at a
+    time over every block but the last t = min(n, 3).  Layer d maps
+    each free mask d blocks down to the states of its prefixes, each
+    with its number of prefixes: ``step(rest, state, m)`` is the state
+    after block ``m`` is placed, leaving the free mask ``rest``, and
+    equal states of one mask are summed.  The last t blocks are read as
+    facts that need no state: ``empty`` is the fact of no blocks, and
+    ``extend(free, a, fact)`` is the fact of the blocks of ``free``
+    whose first block is ``a``, given ``fact`` of those of ``free - a``.
+    The tail of a free mask lists each distinct fact of its partitions
+    with its multiplicity, and ``leaf(state, tail, hist, times)`` adds
+    to ``hist`` the ``count * times`` partitions of each ``(fact,
+    count)`` of the tail below ``times`` prefixes with that state.  So
+    each partition is counted once, as one pair of a prefix state and a
+    tail fact.
     """
     n = vertices // k
     if n < 2:
         raise ValueError(f"the partition walk needs two or more blocks, got {n}")
-    hist: dict[Hashable, int] = {}
-    children: dict[int, list[int]] = {}
-    tails: dict[int, list] = {0: [(empty, 1)]}
-    shared = 3 if block0 else 2  # the first depth whose masks can have several parents
-    top = max(n - 3, 0)  # the depth of the leaf
-
-    def tail(free: int, depth: int, blocks: list[int] | None = None) -> list:
-        """The tail of the mask ``free``, ``depth`` blocks down, which
-        ``tails`` does not hold."""
-        merged: dict[Hashable, int] = {}
-        get = merged.get
-        for a in _blocks(free, k) if blocks is None else blocks:
-            rest = free - a
-            for fact, count in tails.get(rest) or tail(rest, depth + 1):
-                fact = extend(free, a, fact)
-                merged[fact] = get(fact, 0) + count
-        got = list(merged.items())
-        if depth >= shared:
-            tails[free] = got
-        return got
-
-    def place(state: Any, free: int, depth: int, blocks: list[int]) -> None:
-        if depth + 1 == top:  # fold the last block of the prefix, count the tail
-            for m in blocks:
+    layer = {(1 << vertices) - 1: {root: 1}}
+    for _ in range(n - 3):
+        below: dict[int, dict] = {}
+        for free, states in layer.items():
+            for m in _blocks(free, k):
                 rest = free - m
-                leaf(step(state, m), tails.get(rest) or tail(rest, top), hist)
-            return
-        for m in blocks:
-            rest = free - m
-            if depth + 1 < shared:
-                below = _blocks(rest, k)
-            else:
-                below = children.get(rest) or children.setdefault(rest, _blocks(rest, k))
-            place(step(state, m), rest, depth + 1, below)
-
-    free = (1 << vertices) - 1
-    first = [block0] if block0 else _blocks(free, k)
-    if top:
-        place(root, free, 0, first)
-    else:  # the root is the leaf; with block0 fixed its tail is not the whole mask's
-        leaf(root, tail(free, 0, first), hist)
+                merged = below.get(rest)
+                if merged is None:
+                    merged = below[rest] = {}
+                get = merged.get
+                for state, count in states.items():
+                    state = step(rest, state, m)
+                    merged[state] = get(state, 0) + count
+        layer = below
+    hist: dict[Hashable, int] = {}
+    tails: dict[int, list] = {0: [(empty, 1)]}
+    keep = min(2 * k, vertices - 2 * k)  # the masks below the leaf's that can have several parents
+    for free, states in layer.items():
+        tail = _tail(free, k, extend, tails, keep)
+        for state, count in states.items():
+            leaf(state, tail, hist, count)
     return hist
+
+
+def _tail(free: int, k: int, extend: Callable, tails: dict[int, list], keep: int) -> list:
+    """The tail of the mask ``free``, built from the tails one block
+    down, and kept in ``tails`` if ``free`` has at most ``keep`` vertices."""
+    merged: dict[Hashable, int] = {}
+    get = merged.get
+    for a in _blocks(free, k):
+        rest = free - a
+        for fact, count in tails.get(rest) or _tail(rest, k, extend, tails, keep):
+            fact = extend(free, a, fact)
+            merged[fact] = get(fact, 0) + count
+    got = list(merged.items())
+    if free.bit_count() <= keep:
+        tails[free] = got
+    return got
 
 
 def _blocks(free: int, k: int) -> list[int]:
@@ -407,79 +387,88 @@ def _blocks(free: int, k: int) -> list[int]:
     return [low + partners for partners in map(sum, combinations(bits, k - 1))]
 
 
-# The survey's walk state after a prefix of blocks: (short blocks, union
-# of the short blocks, union of all blocks, crossed, spans of the other
-# blocks outside ``crossed``).  A short block fills its span, so it
-# crosses nothing.  ``crossed`` is the union of the blocks whose span
-# meets an earlier block, which they then cross.  A crossed block is in
-# ``crossed`` or crosses a later block that is, so its span meets
-# ``crossed``.  A span that meets a crossed block either contains that
-# block's span or is the span of a block that crosses it, so it meets
-# ``crossed`` too: a block is non-crossing iff its span misses
-# ``crossed``.
+# The survey's walk state after a prefix of blocks keeps only what the
+# blocks of ``rest`` can still change: (short blocks, runs of their
+# union U, the bits of U next to ``rest``, settled non-crossing blocks,
+# live spans cut to ``rest``).  A short block fills its span, so it
+# crosses nothing and is settled at once.  With the blocks in order of
+# their lowest vertex, a block crosses an earlier one iff its span meets
+# a placed vertex, and a block is non-crossing iff its span meets no
+# block that does (a span that meets a crossing block contains it or
+# crosses it).  A block that crosses no earlier one has its span among
+# the free vertices, so only later blocks can meet it, and its cut span
+# is the free vertices up to its last.  The next block holds the lowest
+# free vertex, so it meets every live span: if it crosses an earlier
+# block, no live block is non-crossing.  If it does not and is not
+# short, its span becomes the smallest live one.  A span with no free
+# vertex left is settled.
+# A short block C joins the runs of U where the two touch:
+# runs(U | C) = runs(U) + runs(C) - popcount((U << 1 & C) | (C << 1 & U)).
 _SURVEY_ROOT = (0, 0, 0, 0, ())
 
 
-def _survey_step(state: tuple, m: int) -> tuple:
-    """The survey state after block ``m`` is placed."""
-    shorts, union, seen, crossed, outside = state
+def _survey_step(rest: int, state: tuple, m: int) -> tuple:
+    """The survey state after block ``m`` is placed, leaving ``rest``."""
+    shorts, runs, edge, settled, live = state
     s = (1 << m.bit_length()) - (m & -m)  # _span, inlined
     if m == s:
-        return shorts + 1, union | m, seen | m, crossed, outside
-    if s & seen:
-        return shorts, union, seen | m, crossed | m, outside
-    return shorts, union, seen | m, crossed, outside + (s,)
+        runs += 1 - (edge << 1 & m | m << 1 & edge).bit_count()
+        cut = tuple(x - m for x in live if x != m)
+        settled += 1 + len(live) - len(cut)
+        return shorts + 1, runs, (edge | m) & (rest << 1 | rest >> 1), settled, cut
+    if edge:
+        edge &= rest << 1 | rest >> 1
+    if s & ~rest & ~m:  # m crosses an earlier block
+        return shorts, runs, edge, settled, ()
+    return shorts, runs, edge, settled, (s - m,) + tuple(x - m for x in live)
 
 
+# The fact of the last blocks: (short blocks, their union C, the lowest
+# vertex of the blocks that cross an earlier block, non-crossing blocks).
 _SURVEY_EMPTY = (0, 0, 0, 0)
 
 
 def _survey_extend(free: int, a: int, fact: tuple) -> tuple[int, int, int, int]:
-    """(short blocks, their union, the bits they add to ``crossed``,
-    non-crossing blocks) of the blocks of ``free`` whose first block is
-    ``a``, from ``fact``, the same for those of ``free - a``.
+    """The fact of the blocks of ``free`` whose first block is ``a``,
+    from ``fact``, that of the blocks of ``free - a``.
 
     Every vertex outside ``free`` is in an earlier block, so ``a``
     crosses an earlier block iff its span meets ``~free``.  Otherwise
-    the span of ``a`` lies in ``free`` and misses every crossed block
-    before it, so ``a`` is non-crossing iff it is short or its span
-    misses the later crossed blocks.  A later block that is not crossed
-    has its span in ``free - a``, which adding ``a`` to ``crossed``
-    leaves as it was.
+    the span of ``a`` runs from the lowest vertex of ``free`` and meets
+    no earlier crossing block.  The later blocks lie above that vertex,
+    so ``a`` is non-crossing iff it is short or its span misses the
+    lowest vertex of the later crossing blocks.
     """
-    more, covered, cross, noncrossing = fact
+    more, covered, low, noncrossing = fact
     s = (1 << a.bit_length()) - (a & -a)  # _span, inlined
     if a == s:
-        return more + 1, covered | a, cross, noncrossing + 1
+        return more + 1, covered | a, low, noncrossing + 1
     if s & ~free:
-        return more, covered, cross | a, noncrossing
-    return more, covered, cross, noncrossing if s & cross else noncrossing + 1
+        return more, covered, a & -a, noncrossing
+    return more, covered, low, noncrossing if s & low else noncrossing + 1
 
 
-def _survey_leaf(state: tuple, tail: list, hist: dict) -> None:
+def _survey_leaf(state: tuple, tail: list, hist: dict, times: int) -> None:
     """Count (short chords, components, non-crossing blocks) for the
-    diagrams whose blocks are the prefix folded into ``state``, then the
-    last blocks of each fact of ``tail``, ``count`` diagrams per fact.
+    ``times`` prefixes folded into ``state``, each followed by the last
+    blocks of each fact of ``tail``, ``count`` diagrams per fact.
 
-    The components are the runs of the union U of the short blocks, one
-    per bit of U & ~(U << 1), and a block is non-crossing iff its span
-    misses ``crossed``.
+    The components are the runs of U | C, and a live span is non-crossing
+    iff it misses the lowest vertex of the tail's crossing blocks.
     """
-    shorts, union, _, crossed, outside = state
-    live = [s for s in outside if not s & crossed] if outside else outside
-    runs = (union & ~(union << 1)).bit_count()
+    shorts, runs, edge, settled, live = state
     get = hist.get
-    for (more, covered, cross, noncrossing), count in tail:
-        noncrossing += shorts
+    for (more, covered, low, noncrossing), count in tail:
+        noncrossing += settled
         for s in live:
-            if not s & cross:
+            if not s & low:
                 noncrossing += 1
         if covered:
-            u = union | covered
-            key = shorts + more, (u & ~(u << 1)).bit_count(), noncrossing
+            joins = (edge << 1 & covered | covered << 1 & edge).bit_count()
+            key = shorts + more, runs + (covered & ~(covered << 1)).bit_count() - joins, noncrossing
         else:
             key = shorts + more, runs, noncrossing
-        hist[key] = get(key, 0) + count
+        hist[key] = get(key, 0) + count * times
 
 
 def stats(diagram: Diagram) -> BlockStats:
@@ -493,11 +482,14 @@ def stats(diagram: Diagram) -> BlockStats:
     if diagram.n < 2:  # the empty diagram, or one short block
         shorts = components = noncrossing = diagram.n
     else:
-        state = reduce(_survey_step, masks[:-2], _SURVEY_ROOT)
+        state, rest = _SURVEY_ROOT, (1 << len(diagram.word)) - 1
+        for m in masks[:-2]:
+            rest -= m
+            state = _survey_step(rest, state, m)
         hist: dict[tuple[int, int, int], int] = {}
         last = _survey_extend(masks[-1], masks[-1], _SURVEY_EMPTY)
-        last = _survey_extend(masks[-2] | masks[-1], masks[-2], last)
-        _survey_leaf(state, [(last, 1)], hist)
+        last = _survey_extend(rest, masks[-2], last)
+        _survey_leaf(state, [(last, 1)], hist, 1)
         ((shorts, components, noncrossing),) = hist
     return BlockStats(
         short_chords=shorts,
@@ -507,35 +499,22 @@ def stats(diagram: Diagram) -> BlockStats:
     )
 
 
-def survey(
-    k: int,
-    n: int,
-    block0: Sequence[int] | None = None,
-    budget: int | None = None,
-) -> dict[tuple[int, int, int], int]:
+def survey(k: int, n: int, budget: int | None = None) -> dict[tuple[int, int, int], int]:
     """Brute-force joint histogram over (short_chords, components, noncrossing).
 
-    Visits every diagram (or the sub-range with block 0 fixed) once
-    with the partition walk, which carries the statistics of each
-    prefix of blocks down to the diagrams below it.  This is the oracle
-    that every counting formula in the package is tested against.
+    Counts every diagram once with the partition walk, which merges the
+    prefixes of blocks that leave the same free mask and survey state.
+    This is the oracle that every counting formula in the package is
+    tested against.
     """
     from .counting import total_diagrams
 
     if k < 2 or n < 0:
         raise ValueError("need k >= 2 and n >= 0")
-    oracle_budget(budget, total_diagrams(k, n) if block0 is None else 0)
-    fixed = 0
-    if block0 is not None:
-        positions = set(block0)
-        if len(positions) != k or 0 not in positions or not all(0 <= p < k * n for p in positions):
-            raise ValueError("block0 must be k distinct positions including 0")
-        fixed = sum(1 << p for p in positions)
+    oracle_budget(budget, total_diagrams(k, n))
     if n < 2:  # the empty diagram, or one short block
         return {(n, n, n): 1}
-    return _partitions(
-        k * n, k, _survey_step, _SURVEY_ROOT, _survey_extend, _SURVEY_EMPTY, _survey_leaf, fixed
-    )
+    return _partitions(k * n, k, _survey_step, _SURVEY_ROOT, _survey_extend, _SURVEY_EMPTY, _survey_leaf)
 
 
 def survey_parallel(
@@ -544,23 +523,9 @@ def survey_parallel(
     jobs: int = 1,
     budget: int | None = None,
 ) -> dict[tuple[int, int, int], int]:
-    """Like :func:`survey`, split across worker processes.
-
-    The work is partitioned by block 0's placement, so the result is
-    deterministic and identical to the sequential survey.
-    """
-    from .counting import total_diagrams
-
+    """:func:`survey` for the command line's ``--jobs``: ``jobs`` must be
+    at least 1, and the walk runs in one process whatever its value, as
+    splitting it would lose the prefixes and tails its parts share."""
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    if jobs == 1 or n <= 1:
-        return survey(k, n, budget=budget)
-    oracle_budget(budget, total_diagrams(k, n))
-    from multiprocessing import Pool
-
-    merged: dict[tuple[int, int, int], int] = {}
-    with Pool(jobs) as pool:
-        for part in pool.imap_unordered(partial(survey, k, n), block0_placements(k, n), 8):
-            for key, val in part.items():
-                merged[key] = merged.get(key, 0) + val
-    return merged
+    return survey(k, n, budget=budget)

@@ -150,23 +150,25 @@ def connected_k_sets(board: Board, k: int) -> Iterator[int]:
     if k < 1:
         raise ValueError("need k >= 1")
     nbrs = board.neighbor_masks
-    v_count = board.vertex_count
+    for v in range(board.vertex_count):
+        above = -1 << (v + 1)
+        yield from _grow(nbrs, k, above, 1 << v, (1 << v) | nbrs[v], nbrs[v] & above, 1)
 
-    def extend(sub: int, forbidden: int, ext: int, size: int) -> Iterator[int]:
-        if size == k:
-            yield sub
-            return
-        while ext:
-            w_bit = ext & -ext
-            ext ^= w_bit
-            w = w_bit.bit_length() - 1
-            new_ext = ext | (nbrs[w] & anchor_gt & ~forbidden)
-            yield from extend(sub | w_bit, forbidden | nbrs[w] | w_bit, new_ext, size + 1)
 
-    for v in range(v_count):
-        anchor_gt = -1 << (v + 1)
-        start = nbrs[v] & anchor_gt
-        yield from extend(1 << v, (1 << v) | nbrs[v], start, 1)
+def _grow(
+    nbrs: Sequence[int], k: int, above: int, sub: int, forbidden: int, ext: int, size: int
+) -> Iterator[int]:
+    """The connected k-sets that grow ``sub`` by vertices of ``above``,
+    each next vertex taken from the frontier ``ext``."""
+    if size == k:
+        yield sub
+        return
+    while ext:
+        w_bit = ext & -ext
+        ext ^= w_bit
+        w = w_bit.bit_length() - 1
+        new_ext = ext | (nbrs[w] & above & ~forbidden)
+        yield from _grow(nbrs, k, above, sub | w_bit, forbidden | nbrs[w] | w_bit, new_ext, size + 1)
 
 
 def connected_k_subgraphs(board: Board, k: int) -> int:
@@ -236,15 +238,15 @@ def exhaustive_distribution(board: Board, k: int, budget: int | None = None) -> 
     nbrs = board.neighbor_masks
     components: dict[int, int] = {}  # by union; a board has few distinct unions
 
-    # The walk carries (polyominoes, union of the polyominoes) down each
-    # prefix of blocks, and ``extend`` gives the same two for the last ones.
-    def step(state: tuple[int, int], m: int) -> tuple[int, int]:
+    # A prefix's state and the last blocks' fact are both (polyominoes,
+    # union of the polyominoes): the components need the whole union.
+    def step(rest: int, state: tuple[int, int], m: int) -> tuple[int, int]:
         return (state[0] + 1, state[1] | m) if m in connected else state
 
     def extend(free: int, a: int, fact: tuple[int, int]) -> tuple[int, int]:
         return (fact[0] + 1, fact[1] | a) if a in connected else fact
 
-    def leaf(state: tuple[int, int], tail: list, hist: dict) -> None:
+    def leaf(state: tuple[int, int], tail: list, hist: dict, times: int) -> None:
         polyominoes, union = state
         get = hist.get
         for (more, covered), count in tail:
@@ -253,7 +255,7 @@ def exhaustive_distribution(board: Board, k: int, budget: int | None = None) -> 
             if comps is None:
                 comps = components[u] = _mask_components(nbrs, u)
             key = polyominoes + more, comps
-            hist[key] = get(key, 0) + count
+            hist[key] = get(key, 0) + count * times
 
     return _partitions(board.vertex_count, k, step, (0, 0), extend, (0, 0), leaf)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from collections import Counter
 from functools import lru_cache
@@ -34,7 +35,7 @@ from kchord import (
     survey_parallel,
     total_diagrams,
 )
-from kchord import diagrams
+from kchord import counting, diagrams
 from kchord.diagrams import (
     _SURVEY_EMPTY,
     _SURVEY_ROOT,
@@ -44,7 +45,6 @@ from kchord.diagrams import (
     _survey_extend,
     _survey_leaf,
     _survey_step,
-    block0_placements,
     noncrossing_survey,
     oracle_budget,
 )
@@ -109,14 +109,14 @@ class TestCanonicalize:
         assert canonicalize(d.word, k).word == d.word
 
 
-def walk_words(k: int, n: int, block0: int = 0) -> list[tuple[int, ...]]:
+def walk_words(k: int, n: int) -> list[tuple[int, ...]]:
     """The partition walk's diagrams as label words, each as often as
-    the walk counts it.  The tail facts are the last blocks themselves,
-    so no two partitions share a fact."""
+    the walk counts it.  The states and tail facts are the blocks
+    themselves, so no two partitions share a state or a fact."""
     if n < 2:  # one diagram, with fewer blocks than the walk places
         return [(0,) * (k * n)]
 
-    def leaf(masks, tail, hist):
+    def leaf(masks, tail, hist, times):
         for last, count in tail:
             word = [0] * (k * n)
             for label, mask in enumerate(masks + last):
@@ -124,53 +124,101 @@ def walk_words(k: int, n: int, block0: int = 0) -> list[tuple[int, ...]]:
                     if mask >> p & 1:
                         word[p] = label
             word = tuple(word)
-            hist[word] = hist.get(word, 0) + count
+            hist[word] = hist.get(word, 0) + count * times
 
     def extend(free, a, last):
         return (a,) + last
 
-    hist = _partitions(k * n, k, lambda masks, m: masks + (m,), (), extend, (), leaf, block0)
+    hist = _partitions(k * n, k, lambda rest, masks, m: masks + (m,), (), extend, (), leaf)
     return [word for word, count in hist.items() for _ in range(count)]
 
 
-def carried_and_linear_stats(k: int, n: int, block0: int) -> list[tuple]:
+def carried_and_linear_stats(k: int, n: int) -> list[tuple]:
     """(block masks, survey statistics carried down the walk, the
     statistics naive_stats reads off the diagram's word) per diagram."""
 
-    def step(state, m):
+    def step(rest, state, m):
         carried, masks = state
-        return _survey_step(carried, m), masks + (m,)
+        return _survey_step(rest, carried, m), masks + (m,)
 
     def extend(free, a, fact):
         counted, last = fact
         return _survey_extend(free, a, counted), (a,) + last
 
-    def leaf(state, tail, hist):
+    def leaf(state, tail, hist, times):
         carried, masks = state
         for (fact, last), count in tail:
             counted: dict = {}
-            _survey_leaf(carried, [(fact, count)], counted)
-            assert list(counted.values()) == [count] == [1]
+            _survey_leaf(carried, [(fact, count)], counted, times)
+            assert list(counted.values()) == [count * times] == [1]
             whole = masks + last
             word = tuple(next(i for i, m in enumerate(whole) if m >> p & 1) for p in range(k * n))
             key = whole, *counted, naive_stats(word)[:3]
             hist[key] = hist.get(key, 0) + 1
 
-    hist = _partitions(k * n, k, step, (_SURVEY_ROOT, ()), extend, (_SURVEY_EMPTY, ()), leaf, block0)
+    hist = _partitions(k * n, k, step, (_SURVEY_ROOT, ()), extend, (_SURVEY_EMPTY, ()), leaf)
     assert set(hist.values()) == {1}
     return list(hist)
 
 
-def tail_sums(k: int, n: int, block0: int, extend, empty) -> list[tuple[int, int]]:
-    """(blocks in the tail, the sum of its multiplicities) for each tail
-    that the walk hands to its leaf."""
-    sums = []
+def leaf_calls(k: int, n: int, step, root, extend, empty) -> list[tuple[int, int, int]]:
+    """(blocks in the tail, times, the sum of the tail's multiplicities)
+    for each leaf call.  The state carries the number of blocks placed
+    next to the caller's state."""
+    calls = []
 
-    def leaf(depth, tail, hist):
-        sums.append((n - depth, sum(count for _, count in tail)))
+    def leaf(state, tail, hist, times):
+        depth, _ = state
+        calls.append((n - depth, times, sum(count for _, count in tail)))
 
-    _partitions(k * n, k, lambda depth, m: depth + 1, 0, extend, empty, leaf, block0)
-    return sums
+    def counted(rest, state, m):
+        depth, inner = state
+        return depth + 1, step(rest, inner, m)
+
+    _partitions(k * n, k, counted, (0, root), extend, empty, leaf)
+    return calls
+
+
+# (extend, empty) of three facts, from fine to none: the survey's, the
+# short count alone, and no fact at all.
+FACTS = [
+    (_survey_extend, _SURVEY_EMPTY),
+    (lambda free, a, shorts: shorts + (a == _span(a)), 0),
+    (lambda free, a, fact: fact, None),
+]
+
+
+def block0_placements(k: int, n: int) -> list[tuple[int, ...]]:
+    """The position sets block 0 can take: vertex 0 and k-1 others."""
+    return [(0,) + rest for rest in combinations(range(1, k * n), k - 1)]
+
+
+def survey_by_block0(k: int, n: int) -> dict[tuple[int, ...], Counter]:
+    """The survey histogram of the diagrams with each placement of block
+    0, from one walk that carries block 0 next to the survey's state, or
+    next to its fact when block 0 is one of the last blocks."""
+    if n < 2:  # the one diagram of n = 1
+        return {tuple(range(k * n)): Counter(survey(k, n))}
+    whole = (1 << k * n) - 1
+
+    def step(rest, state, m):
+        first, carried = state
+        return first or m, _survey_step(rest, carried, m)
+
+    def extend(free, a, fact):
+        first, counted = fact
+        return a if free == whole else first, _survey_extend(free, a, counted)
+
+    def leaf(state, tail, hist, times):
+        first, carried = state
+        for (last_first, fact), count in tail:
+            counted: dict = {}
+            _survey_leaf(carried, [(fact, count)], counted, times)
+            split = hist.setdefault(first or last_first, Counter())
+            split.update(counted)
+
+    hist = _partitions(k * n, k, step, (0, _SURVEY_ROOT), extend, (0, _SURVEY_EMPTY), leaf)
+    return {tuple(p for p in range(k * n) if b0 >> p & 1): split for b0, split in hist.items()}
 
 
 def naive_block0_survey(k: int, n: int, block0) -> Counter:
@@ -211,52 +259,82 @@ class TestEnumerate:
 
     def test_walk_needs_two_blocks(self):
         with pytest.raises(ValueError, match="two or more blocks"):
-            _partitions(3, 3, lambda masks, m: masks, (), lambda free, a, fact: fact, (), lambda masks, tail, hist: None)
-
-    def test_block0_restriction(self):
-        for k, n in [(2, 3), (3, 3)]:
-            whole = Counter(walk_words(k, n))
-            split: Counter = Counter()
-            for b0 in block0_placements(k, n):
-                split.update(walk_words(k, n, as_mask(b0)))
-            assert whole == split, (k, n)
+            _partitions(
+                3, 3, lambda rest, masks, m: masks, (), lambda free, a, fact: fact, (),
+                lambda masks, tail, hist, times: None,
+            )
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_tail_multiplicities_sum_to_partition_count(self, data):
         """Each tail the leaf gets counts every partition of its free mask
-        once: its multiplicities sum to N(k, t) for t blocks, or to
-        N(k, n - 1) when the root is the leaf and block 0 is fixed.  The
-        coarser the fact, the more partitions share one entry."""
+        once: its multiplicities sum to N(k, t) for its t = min(n, 3)
+        blocks.  The coarser the fact, the more partitions share one
+        entry."""
         k = data.draw(st.integers(2, 4), label="k")
         n = data.draw(st.integers(2, {2: 6, 3: 5, 4: 3}[k]), label="n")
-        fixed = data.draw(st.booleans(), label="fixed")
-        block0 = as_mask(data.draw(st.sampled_from(block0_placements(k, n)))) if fixed else 0
-        extend, empty = data.draw(
+        extend, empty = data.draw(st.sampled_from(FACTS), label="fact")
+        calls = leaf_calls(k, n, lambda rest, state, m: state, None, extend, empty)
+        for t, _, total in calls:
+            assert t == min(n, 3)
+            assert total == total_diagrams(k, t)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_leaf_counts_sum_to_diagram_total(self, data):
+        """Summed over the leaf calls, ``times`` times the tail's
+        multiplicities is N(k, n), however the prefix states merge: never
+        (the blocks themselves), by the survey's state, or into one state
+        per free mask."""
+        k = data.draw(st.integers(2, 5), label="k")
+        n = data.draw(st.integers(2, {2: 6, 3: 4, 4: 3, 5: 3}[k]), label="n")
+        step, root = data.draw(
             st.sampled_from(
                 [
-                    (_survey_extend, _SURVEY_EMPTY),
-                    (lambda free, a, shorts: shorts + (a == _span(a)), 0),
-                    (lambda free, a, fact: fact, None),
+                    (lambda rest, masks, m: masks + (m,), ()),
+                    (_survey_step, _SURVEY_ROOT),
+                    (lambda rest, state, m: state, None),
                 ]
             ),
-            label="fact",
+            label="state",
         )
-        sums = tail_sums(k, n, block0, extend, empty)
-        for t, total in sums:
-            assert t == min(n, 3)
-            assert total == total_diagrams(k, n - 1 if block0 and t == n else t)
-        placements = len(block0_placements(k, n)) if block0 else 1
-        assert placements * sum(total for _, total in sums) == total_diagrams(k, n)
+        extend, empty = data.draw(st.sampled_from(FACTS), label="fact")
+        calls = leaf_calls(k, n, step, root, extend, empty)
+        assert sum(times * total for _, times, total in calls) == total_diagrams(k, n)
 
     def test_walks_share_no_child_blocks(self):
-        """The child blocks looked up by free mask depend on k, so
-        walks over the same 12 vertices with k = 2, 3, 2 in one process
-        must each see only their own partitions."""
+        """The tails looked up by free mask depend on k, so walks over
+        the same 12 vertices with k = 2, 3, 2 in one process must each
+        see only their own partitions."""
         for k in (2, 3, 2):
             ours = walk_words(k, 12 // k)
             assert len(ours) == total_diagrams(k, 12 // k)
             assert sorted(ours) == sorted(naive_enumerate(k, 12 // k))
+
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            lambda: survey(3, 5),
+            lambda: survey(2, 6),
+            lambda: exhaustive_distribution(path_board(12), 3),
+            lambda: exhaustive_distribution(path_board(12), 2),
+        ],
+        ids=["survey(3, 5)", "survey(2, 6)", "path:12 k=3", "path:12 k=2"],
+    )
+    def test_walk_leaves_no_garbage(self, walk):
+        """A finished walk frees its layers and tails by reference count
+        alone: with the collector off, nothing it made is left in a
+        reference cycle."""
+        walk()  # imports and caches that outlive the walk are made once
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            walk()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     @given(disjoint_blocks())
     @settings(max_examples=300)
@@ -354,10 +432,9 @@ class TestSurvey:
 
     @pytest.mark.parametrize("k,n", [(3, 3), (2, 5)])
     def test_block0_subranges_sum_to_whole(self, k, n):
-        merged: Counter = Counter()
-        for b0 in block0_placements(k, n):
-            merged.update(survey(k, n, block0=b0))
-        assert merged == survey(k, n)
+        split = survey_by_block0(k, n)
+        assert sorted(split) == block0_placements(k, n)
+        assert sum(split.values(), Counter()) == survey(k, n)
 
     @given(
         st.tuples(st.integers(2, 7), st.integers(1, 5)).filter(
@@ -366,33 +443,31 @@ class TestSurvey:
     )
     @settings(max_examples=25, deadline=None)
     def test_random_block0_subranges_sum_to_whole(self, kn):
-        """n = 2: the root's tail is built from block 0 alone; n = 3: the
-        root is the leaf; n = 4: the leaf is one block down, where no
-        tail is kept (up to (3, 4) and (4, 3))."""
+        """Each placement of block 0 heads N(k, n - 1) diagrams.  Block 0
+        is read from the root's tail for n <= 3 and carried in the prefix
+        state from n = 4 on, where the states of equal masks merge."""
         k, n = kn
-        merged: Counter = Counter()
-        for b0 in block0_placements(k, n):
-            merged.update(survey(k, n, block0=b0))
-        assert merged == survey(k, n)
+        split = survey_by_block0(k, n)
+        assert sorted(split) == block0_placements(k, n)
+        assert {sum(part.values()) for part in split.values()} == {total_diagrams(k, n - 1)}
+        assert sum(split.values(), Counter()) == survey(k, n)
 
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 3), (4, 2)])
     def test_carried_stats_match_linear_stats(self, k, n):
         visited = 0
-        for b0 in block0_placements(k, n):
-            for masks, carried, naive in carried_and_linear_stats(k, n, as_mask(b0)):
-                assert masks[0] == as_mask(b0)
-                assert carried == naive, masks
-                visited += 1
+        for masks, carried, naive in carried_and_linear_stats(k, n):
+            assert carried == naive, masks
+            visited += 1
         assert visited == total_diagrams(k, n)
 
-    # n = 2: the root is the leaf level; n = 3: the root folds its block
-    # and calls the leaf itself.
+    # n = 2, 3: block 0 is in the root's tail; n = 5: it is in the state.
     @pytest.mark.parametrize("k,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 5)])
     def test_block0_subranges_match_naive(self, k, n):
         words = [(naive_blocks(w)[0], naive_stats(w)[:3]) for w in naive_enumerate(k, n)]
+        split = survey_by_block0(k, n)
         for b0 in block0_placements(k, n):
             want = Counter(key for first, key in words if first == b0)
-            assert survey(k, n, block0=b0) == dict(want), b0
+            assert split[b0] == want, b0
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -403,12 +478,20 @@ class TestSurvey:
             assert survey(k, 0) == dict(Counter(naive_stats(w)[:3] for w in naive_enumerate(k, 0)))
             return
         b0 = data.draw(st.sampled_from(block0_placements(k, n)), label="block0")
-        assert survey(k, n, block0=b0) == dict(naive_block0_survey(k, n, b0))
+        assert survey_by_block0(k, n)[b0] == naive_block0_survey(k, n, b0)
 
-    def test_rejects_bad_block0(self):
-        for bad in [(1, 2), (0, 0), (0, 6), (0, 1, 2)]:
-            with pytest.raises(ValueError):
-                survey(2, 3, block0=bad)
+    @pytest.mark.parametrize("k,n", [(2, 8), (3, 5)])
+    def test_rows_match_closed_forms(self, k, n):
+        """The survey's short-chord and component marginals against the
+        closed-form rows: (2, 8) has five layers of merged prefixes, the
+        most within the default budget."""
+        hist = survey(k, n)
+        shorts, components = Counter(), Counter()
+        for (s, q, _), count in hist.items():
+            shorts[s] += count
+            components[q] += count
+        assert [shorts[s] for s in range(n + 1)] == counting.short_chord_row(k, n)
+        assert tuple(components[q] for q in range(n + 1)) == counting.component_row(k, n)
 
     def test_parallel_equals_serial(self):
         assert survey_parallel(3, 3, jobs=2) == survey(3, 3)

@@ -27,7 +27,7 @@ from kchord import (
     sample_placements,
     torus_board,
 )
-from kchord.counting import mean_short_chords
+from kchord.counting import component_row, mean_short_chords, short_chord_row, total_diagrams
 from kchord.memory_game import _block_key, _mask_components, connected_k_sets, connected_k_subgraphs
 
 
@@ -246,6 +246,16 @@ class TestExactStatistics:
         mean = Fraction(sum(p * c for (p, _q), c in hist.items()), total)
         assert mean == mean_polyominoes(board, 2)
 
+    def test_path_16_marginals_match_closed_forms(self):
+        """The 2,027,025 deals of path:16 at k = 2 are the diagrams of
+        (2, 8): polyominoes are short chords and the components agree."""
+        polyominoes, components = Counter(), Counter()
+        for (p, q), count in exhaustive_distribution(path_board(16), 2).items():
+            polyominoes[p] += count
+            components[q] += count
+        assert [polyominoes[s] for s in range(9)] == short_chord_row(2, 8)
+        assert tuple(components[q] for q in range(9)) == component_row(2, 8)
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             exhaustive_distribution(grid_board(4, 4), 2, budget=100)
@@ -285,6 +295,35 @@ class TestSampling:
             got = sampled_poly[value] / 60000
             sigma = (want * (1 - want) / 60000) ** 0.5
             assert abs(got - want) < 5 * sigma + 1e-9, value
+
+    @pytest.mark.parametrize("spec,k,seed", [("grid:4x4", 2, 2024), ("grid:3x6", 3, 2025)])
+    def test_fixed_seed_histogram_fits_exact_law(self, spec, k, seed):
+        """200,000 sampled deals against the exact polyomino law of every
+        deal.  Statistic: Pearson's X^2 over the polyomino counts, each bin
+        expecting fewer than 5 deals pooled into the next lower count.
+        Threshold: the 0.999 quantile of chi-square with bins - 1 degrees
+        of freedom, by the Wilson-Hilferty cube."""
+        board = board_from_spec(spec)
+        exact = exhaustive_distribution(board, k, budget=total_diagrams(k, board.vertex_count // k))
+        law: Counter = Counter()
+        for (p, _q), count in exact.items():
+            law[p] += count
+        total = sum(law.values())
+        samples = 200_000
+        got = sample_placements(board, k, samples, seed).histogram
+        assert set(got) <= set(law)
+        bins, observed, expected = [], 0, 0.0
+        for p in sorted(law, reverse=True):
+            observed += got.get(p, 0)
+            expected += samples * law[p] / total
+            if expected >= 5:
+                bins.append((observed, expected))
+                observed, expected = 0, 0.0
+        assert expected == 0  # the lowest counts carry most of the mass
+        x2 = sum((o - e) ** 2 / e for o, e in bins)
+        df = len(bins) - 1
+        z = 3.090232  # the 0.999 quantile of the standard normal
+        assert x2 < df * (1 - 2 / (9 * df) + z * (2 / (9 * df)) ** 0.5) ** 3
 
     def test_large_board_falls_back_without_lookup(self):
         # a board past the former 22-vertex bitmask cutoff samples correctly
