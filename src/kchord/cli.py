@@ -14,6 +14,7 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -97,12 +98,16 @@ OEIS_SEQUENCES = {
 }
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _emit(out: str | None):
+    """The ``write`` of the destination: stdout, or the ``--out`` file,
+    created only here, once the output is ready.  Tables are written a
+    row at a time, so only their rows, never their whole text, are held."""
     if out in (None, "-"):
-        sys.stdout.write(text)
+        yield sys.stdout.write
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle.write
 
 
 def _trim(row) -> tuple[int, ...]:
@@ -128,25 +133,27 @@ def build_rows(stat: str, k: int, n_max: int, route: str, jobs: int = 1, budget:
     return [_trim(row) for row in rows] if stat == "components" else rows
 
 
-def rows_to_csv(rows) -> str:
-    lines = ["n,value,count"]
+def rows_to_csv(rows, write) -> None:
+    write("n,value,count\n")
     for n, row in enumerate(rows):
-        for value, count in enumerate(row):
-            if count:
-                lines.append(f"{n},{value},{count}")
-    return "\n".join(lines) + "\n"
+        write("".join(f"{n},{value},{count}\n" for value, count in enumerate(row) if count))
 
 
-def rows_to_json(rows, k: int, stat: str) -> str:
+def rows_to_json(rows, k: int, stat: str, write) -> None:
     """The table as ``json.dumps({"k", "kind", "rows"}, indent=2)`` writes
     it, entries as decimal strings, without the pure-Python encoder that
     ``indent`` selects."""
-    lines = ",\n".join(
-        '    [\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]' if row else "    []"
-        for row in rows
-    )
-    body = f"[\n{lines}\n  ]" if rows else "[]"
-    return f'{{\n  "k": {k},\n  "kind": {json.dumps(stat)},\n  "rows": {body}\n}}\n'
+    write(f'{{\n  "k": {k},\n  "kind": {json.dumps(stat)},\n  "rows": [')
+    separator = "\n"
+    for row in rows:
+        if row:  # the entries in a write of their own, not copied into a larger string
+            write(f'{separator}    [\n      "')
+            write('",\n      "'.join(map(str, row)))
+            write('"\n    ]')
+        else:
+            write(f"{separator}    []")
+        separator = ",\n"
+    write("\n  ]\n}\n" if rows else "]\n}\n")
 
 
 def linearize_rows(stat: str, rows) -> list[int]:
@@ -156,9 +163,11 @@ def linearize_rows(stat: str, rows) -> list[int]:
     return [value for row in rows[1:] for value in row[skip:]]
 
 
-def rows_to_bfile(stat: str, rows, offset: int) -> str:
-    values = linearize_rows(stat, rows)
-    return "".join(f"{offset + i} {v}\n" for i, v in enumerate(values))
+def rows_to_bfile(values, offset: int, write) -> None:
+    """A b-file of ``values`` (a ``linearize_rows`` table or a slice of
+    a sequence), numbered from ``offset``."""
+    for i, v in enumerate(values, offset):
+        write(f"{i} {v}\n")
 
 
 # --- subcommand handlers ------------------------------------------------
@@ -180,10 +189,11 @@ def _cmd_stats(args) -> int:
     if st.crossing_pairs == 0:
         payload["lattice_path"] = encode_lattice_path(diagram).steps
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        text = json.dumps(payload, indent=2)
     else:
         text = " ".join(f"{key}={val}" for key, val in payload.items())
-        _emit(text + "\n", args.out)
+    with _emit(args.out) as write:
+        write(text + "\n")
     return 0
 
 
@@ -192,12 +202,14 @@ def _cmd_table(args) -> int:
         raise ValueError("--offset needs --format bfile")
     route = args.route or DEFAULT_ROUTE[args.stat]
     rows = build_rows(args.stat, args.k, args.n_max, route, args.jobs, args.budget)
-    if args.format == "csv":
-        _emit(rows_to_csv(rows), args.out)
-    elif args.format == "json":
-        _emit(rows_to_json(rows, args.k, args.stat), args.out)
-    else:
-        _emit(rows_to_bfile(args.stat, rows, 1 if args.offset is None else args.offset), args.out)
+    with _emit(args.out) as write:
+        if args.format == "csv":
+            rows_to_csv(rows, write)
+        elif args.format == "json":
+            rows_to_json(rows, args.k, args.stat, write)
+        else:
+            offset = 1 if args.offset is None else args.offset
+            rows_to_bfile(linearize_rows(args.stat, rows), offset, write)
     return 0
 
 
@@ -219,7 +231,8 @@ def _cmd_series(args) -> int:
         "order": [gf.order1, gf.order2],
         "coeffs": [str(c) for row in gf.coeffs for c in row],
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    with _emit(args.out) as write:
+        write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -243,7 +256,8 @@ def _cmd_oeis(args) -> int:
         while len(values) < args.terms:
             values = linearize_rows(stat, build_rows(stat, k, n_max, DEFAULT_ROUTE[stat]))
             n_max *= 2
-    _emit("".join(f"{offset + i} {v}\n" for i, v in enumerate(values[: args.terms])), args.out)
+    with _emit(args.out) as write:
+        rows_to_bfile(values[: args.terms], offset, write)
     return 0
 
 
@@ -274,37 +288,30 @@ def _cmd_memory(args) -> int:
             "stderr": repr(result.stderr),
             "histogram": {str(key): val for key, val in sorted(result.histogram.items())},
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
-    if args.exhaustive:
-        hist = memory_game.exhaustive_distribution(board, k, budget=args.budget)
-        if args.format == "json":
-            payload = {
-                "board": board.label,
-                "k": k,
-                "histogram": [
-                    {"polyominoes": p, "components": c, "count": count}
-                    for (p, c), count in sorted(hist.items())
-                ],
-            }
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        else:
-            lines = ["polyominoes,components,count"]
-            for (p, c), count in sorted(hist.items()):
-                lines.append(f"{p},{c},{count}")
-            _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    r = memory_game.connected_k_subgraphs(board, k)
-    payload = {"board": board.label, "k": k, "connected_k_subgraphs": r}
-    if args.mean:
-        mean = memory_game.mean_polyominoes(board, k)
-        payload["n"] = n
-        payload["mean_polyominoes"] = str(mean)
-        payload["mean_decimal"] = asymptotics.decimal_str(mean)
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    elif args.exhaustive:
+        hist = sorted(memory_game.exhaustive_distribution(board, k, budget=args.budget).items())
+        payload = {
+            "board": board.label,
+            "k": k,
+            "histogram": [{"polyominoes": p, "components": c, "count": count} for (p, c), count in hist],
+        }
     else:
-        _emit(" ".join(f"{key}={val}" for key, val in payload.items()) + "\n", args.out)
+        r = memory_game.connected_k_subgraphs(board, k)
+        payload = {"board": board.label, "k": k, "connected_k_subgraphs": r}
+        if args.mean:
+            mean = memory_game.mean_polyominoes(board, k)
+            payload["n"] = n
+            payload["mean_polyominoes"] = str(mean)
+            payload["mean_decimal"] = asymptotics.decimal_str(mean)
+    with _emit(args.out) as write:
+        if args.format == "json" or args.sample is not None:
+            write(json.dumps(payload, indent=2) + "\n")
+        elif args.exhaustive:
+            write("polyominoes,components,count\n")
+            for (p, c), count in hist:
+                write(f"{p},{c},{count}\n")
+        else:
+            write(" ".join(f"{key}={val}" for key, val in payload.items()) + "\n")
     return 0
 
 
@@ -323,10 +330,11 @@ def _cmd_asympt(args) -> int:
     else:
         kind = "short_chords" if args.kind == "short" else "components"
         report = asymptotics.poisson_convergence_report(args.k, n_values, kind)
-    if args.format == "csv":
-        _emit(report.to_csv_text(), args.out)
-    else:
-        _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+    with _emit(args.out) as write:
+        if args.format == "csv":
+            write(report.to_csv_text())
+        else:
+            write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     return 0
 
 
@@ -470,7 +478,8 @@ def _cmd_verify(args) -> int:
     code = run_verify(
         args.k, args.n_max, args.m_max, jobs=args.jobs, budget=args.budget, write=chunks.append
     )
-    _emit("".join(chunks), args.out)
+    with _emit(args.out) as write:
+        write("".join(chunks))
     return code
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -102,7 +104,30 @@ class TestTable:
     )
     def test_json_text_matches_json_dumps(self, rows, k, stat):
         payload = {"k": k, "kind": stat, "rows": [[str(c) for c in row] for row in rows]}
-        assert cli.rows_to_json(rows, k, stat) == json.dumps(payload, indent=2) + "\n"
+        writes: list[str] = []
+        cli.rows_to_json(rows, k, stat, writes.append)
+        assert "".join(writes) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("route, k, n_max, fmt", [("kp1", 3, 120, "csv"), ("kp2", 5, 40, "json")])
+    def test_emitters_hold_one_row_of_text(self, route, k, n_max, fmt):
+        """Writing a built table allocates, at its peak, less than a quarter
+        of the text's length: the text is written a row at a time."""
+        rows = cli.build_rows("short", k, n_max, route)
+        if fmt == "csv":
+            emit = functools.partial(cli.rows_to_csv, rows)
+        else:
+            emit = functools.partial(cli.rows_to_json, rows, k, "short")
+        writes: list[str] = []
+        emit(writes.append)
+        length = sum(map(len, writes))
+        del writes
+        tracemalloc.start()
+        try:
+            emit(lambda text: None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < length / 4, (peak, length)
 
     def test_bfile_format(self, capsys):
         code, out, _ = run_cli(
@@ -164,18 +189,40 @@ class TestTable:
         )
         assert code == 3
 
-    def test_output_file_deterministic(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param("table --k 3 --stat short --n-max 5", id="csv"),
+            pytest.param("table --k 4 --stat components --n-max 6 --format json", id="json"),
+            pytest.param("table --k 3 --stat nc-short --n-max 6 --format bfile --offset 0", id="bfile"),
+            pytest.param("oeis --seq A334057 --terms 40", id="oeis"),
+            pytest.param("oeis --seq A062993 --k 3 --terms 12", id="oeis-fuss"),
+        ],
+    )
+    def test_output_file_deterministic(self, capsys, tmp_path, argv):
+        code, stdout, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for target in (a, b):
-            code, _, _ = run_cli(
-                capsys, "table", "--k", "3", "--stat", "short",
-                "--n-max", "5", "--out", str(target),
-            )
-            assert code == 0
+            code, out, _ = run_cli(capsys, *argv.split(), "--out", str(target))
+            assert code == 0 and out == ""
         blob = a.read_bytes()
-        assert blob == b.read_bytes()
+        assert blob == b.read_bytes() == stdout.encode()
         assert b"\r" not in blob
         assert blob.endswith(b"\n")
+
+    @pytest.mark.parametrize(
+        "argv, expect",
+        [
+            pytest.param("--k 3 --stat short --n-max 6 --route oracle --budget 1000", 3, id="budget"),
+            pytest.param("--k 3 --stat components --n-max 3 --route kp1", 2, id="bad-route"),
+        ],
+    )
+    def test_failed_table_creates_no_out_file(self, capsys, tmp_path, argv, expect):
+        target = tmp_path / "table.csv"
+        code, out, err = run_cli(capsys, "table", *argv.split(), "--out", str(target))
+        assert code == expect and out == "" and err.startswith("error: ")
+        assert not target.exists()
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
