@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import comb, sqrt
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .counting import total_diagrams
+from .counting import SelfCheckError, total_diagrams
 from .diagrams import _partitions, oracle_budget
 
 SAMPLE_CHUNK = 1 << 14
@@ -272,37 +273,57 @@ class SampleResult:
     rng_algorithm: str
 
 
-def _block_key(board: Board, k: int) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The (k, V) int64 weights W of the block key sum_i W[i][block[i]],
-    and either the boolean table of connected k-sets that the key
-    indexes, or (past TABLE_LIMIT) the keys of the connected k-sets."""
+def _block_key(
+    board: Board, k: int
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray | None, np.ndarray | None]:
+    """The block key, a function from a (..., k) int64 array of blocks to
+    their int64 keys, and either the uint8 table of connected k-sets that
+    the key indexes, or (past TABLE_LIMIT) the keys of the connected
+    k-sets."""
     v_count = board.vertex_count
     size = min(v_count**k, 1 << v_count)
     if size > TABLE_LIMIT and comb(v_count, k) >= 1 << 63:
         raise ValueError(f"board too large to sample: C({v_count}, {k}) >= 2^63 vertex sets")
-
-    def weight(i: int, v: int) -> int:
-        if size > TABLE_LIMIT:  # a sorted block's rank C(v_0, 1) + C(v_1, 2) + ...
-            return comb(v, i + 1) if v <= v_count - k + i else 0  # 0 where v is never i-th
-        return v * v_count**i if size == v_count**k else 1 << v  # base V, or the bitmask
-
-    weights = np.array([[weight(i, v) for v in range(v_count)] for i in range(k)], dtype=np.int64)
-    sets = [[v for v in range(v_count) if mask >> v & 1] for mask in connected_k_sets(board, k)]
+    sets = []
+    for mask in connected_k_sets(board, k):  # k steps per set, not V
+        sets.append([])
+        while mask:
+            sets[-1].append((mask & -mask).bit_length() - 1)
+            mask &= mask - 1
     conn = np.array(sets, dtype=np.int64).reshape(-1, k)
-    if size > TABLE_LIMIT:
-        return weights, None, _keys(weights, conn)
-    if size == v_count**k:  # dealt order: mark every ordering of a connected set
+
+    if size == v_count**k and size <= TABLE_LIMIT:
+        def key(blocks: np.ndarray) -> np.ndarray:
+            """The block in dealt order read in base V, by Horner's rule
+            b0 + V(b1 + V(b2 + ...)): no gathers through the block columns."""
+            keys = blocks[..., k - 1] * v_count
+            for i in range(k - 2, 0, -1):
+                keys += blocks[..., i]
+                keys *= v_count
+            keys += blocks[..., 0]
+            return keys
+
+        # dealt order: mark every ordering of a connected set
         conn = np.concatenate([conn[:, list(order)] for order in permutations(range(k))])
-    table = np.zeros(size, dtype=bool)
-    table[_keys(weights, conn)] = True
-    return weights, table, None
+    else:
+        def weight(i: int, v: int) -> int:
+            if size > TABLE_LIMIT:  # a sorted block's rank C(v_0, 1) + C(v_1, 2) + ...
+                return comb(v, i + 1) if v <= v_count - k + i else 0  # 0 where v is never i-th
+            return 1 << v  # the bitmask
 
+        weights = np.array([[weight(i, v) for v in range(v_count)] for i in range(k)], dtype=np.int64)
 
-def _keys(weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    keys = weights[0][blocks[..., 0]]
-    for i in range(1, len(weights)):
-        keys += weights[i][blocks[..., i]]
-    return keys
+        def key(blocks: np.ndarray) -> np.ndarray:
+            keys = weights[0][blocks[..., 0]]
+            for i in range(1, k):
+                keys += weights[i][blocks[..., i]]
+            return keys
+
+        if size > TABLE_LIMIT:
+            return key, None, key(conn)
+    table = np.zeros(size, dtype=np.uint8)
+    table[key(conn)] = 1
+    return key, table, None
 
 
 def sample_placements(board: Board, k: int, samples: int, seed: int) -> SampleResult:
@@ -312,24 +333,32 @@ def sample_placements(board: Board, k: int, samples: int, seed: int) -> SampleRe
     k-blocks.  Streams are reproducible: chunk c of the run uses a
     Philox generator seeded with SeedSequence(seed, spawn_key=(c,)), so
     results are deterministic for fixed (seed, samples, SAMPLE_CHUNK).
-    Chunks run on up to one thread per available CPU; a chunk shuffles,
-    keys and counts its rows in slices of SAMPLE_SLICE rows, each slice
-    continuing the chunk's one stream, and the per-chunk histograms are
-    summed, so the output does not depend on the thread count.  Each
-    block gets one integer key, which indexes a boolean table of the
+    Chunks run on up to one thread per available CPU, thread t taking
+    chunks t, t + T, ...; a chunk shuffles, keys and counts its rows in
+    slices of SAMPLE_SLICE rows, each slice continuing the chunk's one
+    stream, and the histograms are summed, so the output does not depend
+    on the thread count.  The shuffle (Generator.permuted) holds the
+    interpreter lock, so the threads overlap only the key and count
+    steps.  The first exception raised in a thread is raised again here,
+    and a summed histogram that does not hold every sample raises
+    SelfCheckError.
+
+    Each block gets one integer key, which indexes a uint8 table of the
     connected k-sets: the block in dealt order read in base V when
     V^k <= 2^V (every ordering of a connected set is marked), else the
-    block's bitmask.  Boards whose table, min(V^k, 2^V) entries, would
-    exceed TABLE_LIMIT sort each block and match its combinatorial rank
-    against the ranks of the connected k-sets with np.isin, which needs
-    C(V, k) < 2^63.
+    block's bitmask.  A row's looked-up flags are counted in one matrix
+    product with a vector of ones.  Boards whose table, min(V^k, 2^V)
+    entries, would exceed TABLE_LIMIT sort each block and match its
+    combinatorial rank against the ranks of the connected k-sets with
+    np.isin, which needs C(V, k) < 2^63.
     """
     n = _resolve_n(board, k)
     if samples < 1:
         raise ValueError("need samples >= 1")
     chunk_size = SAMPLE_CHUNK
-    weights, table, conn_keys = _block_key(board, k)
+    key, table, conn_keys = _block_key(board, k)
     v_count = board.vertex_count
+    ones = np.ones(n, dtype=np.min_scalar_type(n))  # wide enough that a row's count cannot wrap
 
     def chunk_histogram(chunk_index: int) -> np.ndarray:
         m = min(chunk_size, samples - chunk_index * chunk_size)
@@ -343,20 +372,37 @@ def sample_placements(board: Board, k: int, samples: int, seed: int) -> SampleRe
             blocks = rng.permuted(rows, axis=1, out=rows).reshape(len(rows), n, k)
             if table is None:
                 blocks.sort(axis=2)
-            keys = _keys(weights, blocks)
-            flags = np.isin(keys, conn_keys) if table is None else table[keys]
-            hist += np.bincount(np.count_nonzero(flags, axis=1), minlength=n + 1)
+            keys = key(blocks)
+            flags = np.isin(keys, conn_keys).view(np.uint8) if table is None else table[keys]
+            hist += np.bincount(flags @ ones, minlength=n + 1)
         return hist
-
-    from concurrent.futures import ThreadPoolExecutor  # here, not at start-up of every command
 
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
     chunks = -(-samples // chunk_size)
-    with ThreadPoolExecutor(min(chunks, cpus)) as pool:
-        counts_hist = sum(pool.map(chunk_histogram, range(chunks)))
+    threads = min(chunks, cpus)
+    hists = np.zeros((threads, n + 1), dtype=np.int64)
+    errors: list[BaseException] = []
+
+    def work_on(t: int) -> None:
+        try:
+            for chunk_index in range(t, chunks, threads):
+                hists[t] += chunk_histogram(chunk_index)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work_on, args=(t,)) for t in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+    counts_hist = hists.sum(axis=0)
+    if counts_hist.sum() != samples:
+        raise SelfCheckError(f"sampled histogram holds {counts_hist.sum()} deals, not {samples}")
     total = int(np.arange(n + 1) @ counts_hist)
     mean = Fraction(total, samples)
     if samples > 1:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -9,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import C_TABLE_K3, D_TABLE_K3, T_TABLE_K3
 from kchord import BivariateSeries, cli, counting, fuss_catalan, series, tables, total_diagrams
@@ -763,3 +767,90 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "short_chords=1" in proc.stdout
+
+
+# Values the grammar fuzz test draws, by option: small sizes including
+# -1, 0 and 1, so every command stays fast, and words that are malformed
+# for every option.
+MALFORMED = st.sampled_from(
+    ["", "x", "-", "1.5", "1e3", "0x10", " 2", ",", "2,", "a,b", "path:", "grid:2", "torus:x2", "-h"]
+)
+_SIZE = st.one_of(st.sampled_from(["-1", "0", "1"]), st.integers(2, 5).map(str))
+_BOARD = st.one_of(
+    st.builds("path:{}".format, st.integers(-1, 9)),
+    st.builds("{}:{}x{}".format, st.sampled_from(["grid", "torus"]), st.integers(-1, 3), st.integers(0, 3)),
+)
+OPTION_VALUES = {
+    "--k": st.sampled_from(["-1", "0", "1", "2", "3", "4"]),
+    "--word": st.lists(st.integers(0, 3), max_size=8).map(lambda w: ",".join(map(str, w))),
+    "--board": _BOARD,
+    "--n": st.lists(st.integers(-1, 30), min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns))),
+    "--route": st.sampled_from(sorted({r for rs in cli.ROUTES.values() for r in rs} | set(cli.ROUTE_ALIASES))),
+    "--seq": st.sampled_from(sorted(cli.OEIS_SEQUENCES)),
+    "--terms": st.integers(-1, 8).map(str),
+    "--sample": st.one_of(st.sampled_from(["-1", "0"]), st.integers(1, 300).map(str)),
+    "--seed": st.integers(-1, 2**32).map(str),
+    "--budget": st.sampled_from(["-1", "0", "1", "100", "1000000"]),
+    "--out": st.just("-"),
+}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """An argv for one subcommand, drawn from its parser: each option
+    present or not (required ones mostly present), in any order, with a
+    value of its type or a malformed word."""
+    name = draw(st.sampled_from(sorted(cli.SUBCOMMANDS)))
+    parser = cli._add_subcommand(cli._Parser(prog=f"kchord {name}"), name)
+    words = []
+    for action in parser._actions:
+        option = action.option_strings[-1] if action.option_strings else None
+        if option in (None, "--help") or draw(st.integers(0, 9)) >= (9 if action.required else 4):
+            continue
+        if action.nargs == 0:  # a flag
+            words.append([option])
+            continue
+        if option in OPTION_VALUES:
+            value = OPTION_VALUES[option]
+        else:
+            value = st.sampled_from(action.choices) if action.choices else _SIZE
+        if option != "--out" and draw(st.integers(0, 9)) == 0:  # --out stays "-": no files are written
+            value = st.one_of(value, MALFORMED)
+        words.append([option, draw(value)])
+    return [name] + [word for option in draw(st.permutations(words)) for word in option]
+
+
+# Well-formed sampler lines, up to two chunks (and so two threads), which
+# the grammar alone seldom reaches: most drawn memory lines are refused.
+SAMPLE_LINES = st.builds(
+    lambda kind, k, blocks, samples, seed: [
+        "memory", "--board", f"path:{k * blocks}" if kind == "path" else f"{kind}:{k}x{blocks}",
+        "--k", str(k), "--sample", str(samples), "--seed", str(seed),
+    ],
+    st.sampled_from(["path", "grid", "torus"]),
+    st.integers(2, 4),
+    st.integers(0, 4),
+    st.integers(1, 20_000),
+    st.integers(0, 2**32),
+)
+
+
+def _run_in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(st.one_of(command_lines(), SAMPLE_LINES))
+@settings(max_examples=300, deadline=None)
+def test_command_line_grammar_fuzz(argv):
+    """Every drawn command line is answered (exit 0) or refused with one
+    error line (exit 2, or 3 past the oracle budget), never a traceback,
+    and a rerun prints the same."""
+    code, out, err = _run_in_process(argv)
+    event(f"{argv[0]}: exit {code}")
+    assert code in (0, 2, 3), (argv, err)
+    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, err
+    assert "Traceback" not in err
+    assert _run_in_process(argv) == (code, out, err)

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -17,8 +17,10 @@ from conftest import naive_blocks, naive_enumerate, naive_stats
 from kchord import (
     Board,
     BudgetExceededError,
+    SelfCheckError,
     board_from_edges,
     board_from_spec,
+    cli,
     exhaustive_distribution,
     grid_board,
     mean_polyominoes,
@@ -60,7 +62,7 @@ def draw_board(data) -> Board:
 
 def key_kind(board: Board, k: int) -> str:
     """Which block key sample_placements uses on this board."""
-    _weights, table, _conn_keys = _block_key(board, k)
+    _key, table, _conn_keys = _block_key(board, k)
     if table is None:
         return "isin"
     return "base-V" if len(table) == board.vertex_count**k else "bitmask"
@@ -344,6 +346,7 @@ class TestSampling:
                 ("path:26", 2, "base-V"),
                 ("grid:5x6", 3, "base-V"),
                 ("torus:6x6", 4, "base-V"),
+                ("path:600", 2, "base-V"),  # 300 blocks: a row's count needs more than 8 bits
                 ("path:18", 6, "bitmask"),  # 18^6 > 2^18
                 ("grid:5x6", 5, "isin"),  # 30^5 > 2^23
                 ("path:66", 33, "isin"),
@@ -371,20 +374,25 @@ class TestSampling:
         assert r.histogram == loop_histogram(board, k, 2500, 8, 1000)
 
     def test_histogram_independent_of_thread_count(self, monkeypatch):
-        workers = []
+        started: list = []
 
-        class Pool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-                super().__init__(max_workers)
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(threading, "Thread", Spy)
         monkeypatch.setattr(memory_game, "SAMPLE_CHUNK", 300)
         board = grid_board(4, 4)
         want = loop_histogram(board, 2, 2000, 6, 300)
+        workers = []
 
         def histogram() -> dict:
-            return sample_placements(board, 2, 2000, seed=6).histogram
+            started.clear()
+            hist = sample_placements(board, 2, 2000, seed=6).histogram
+            assert not any(t.is_alive() for t in started)
+            workers.append(len(started))
+            return hist
 
         for cpus in (1, 3, 16):  # 16 CPUs: capped at the 7 chunks
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
@@ -395,14 +403,49 @@ class TestSampling:
             assert histogram() == want, cpus
         assert workers == [1, 3, 7, 1, 4]
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_failed_chunk_fails_the_call(self, monkeypatch, cpus):
+        philox = np.random.Philox
+
+        def failing(seed_sequence):
+            if seed_sequence.spawn_key == (4,):
+                raise RuntimeError("chunk 4 failed")
+            return philox(seed_sequence)
+
+        monkeypatch.setattr(np.random, "Philox", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(memory_game, "SAMPLE_CHUNK", 300)
+        with pytest.raises(RuntimeError, match="chunk 4 failed"):
+            sample_placements(grid_board(4, 4), 2, 2000, seed=6)
+
+    def test_lost_worker_fails_the_self_check(self, monkeypatch, capsys):
+        class Idle(threading.Thread):
+            def run(self):  # a worker that never runs its chunks
+                pass
+
+        monkeypatch.setattr(threading, "Thread", Idle)
+        monkeypatch.setattr(memory_game, "SAMPLE_CHUNK", 300)
+        with pytest.raises(SelfCheckError, match="holds 0 deals, not 2000"):
+            sample_placements(grid_board(4, 4), 2, 2000, seed=6)
+        assert cli.main("memory --board grid:4x4 --k 2 --sample 2000".split()) == 4
+        assert capsys.readouterr().err == "error: internal check failed: sampled histogram holds 0 deals, not 2000\n"
+
+    def test_counts_past_255_blocks_per_deal(self):
+        # on the complete graph every block is a polyomino: 256 in each deal
+        board = board_from_edges(512, list(combinations(range(512), 2)))
+        assert key_kind(board, 2) == "base-V"
+        r = sample_placements(board, 2, 300, seed=3)
+        assert r.histogram == loop_histogram(board, 2, 300, 3, memory_game.SAMPLE_CHUNK) == {256: 300}
+
     def test_cli_import_leaves_the_thread_pool_unloaded(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, kchord.cli; print('concurrent.futures' in sys.modules)"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        loaded = "print('concurrent.futures' in sys.modules, 'logging' in sys.modules, file=sys.stderr)"
+        for script in (
+            "import sys, kchord.cli",
+            "import sys, kchord.cli; kchord.cli.main('memory --board grid:4x4 --k 2 --sample 40000'.split())",
+        ):
+            proc = subprocess.run([sys.executable, "-c", f"{script}; {loaded}"], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == "False False\n", script
 
     @pytest.mark.parametrize(
         "spec, k, size, kind",
