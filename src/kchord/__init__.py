@@ -31,7 +31,6 @@ from .diagrams import (
     encode_lattice_path,
     stats,
     survey,
-    survey_parallel,
 )
 from .memory_game import (
     Board,
@@ -93,7 +92,6 @@ __all__ = [
     "short_chord_row",
     "stats",
     "survey",
-    "survey_parallel",
     "torus_board",
     "total_diagrams",
     "tv_distance_interval",

@@ -20,7 +20,7 @@ import json
 import sys
 from itertools import zip_longest
 
-from . import asymptotics, counting, memory_game, series, tables
+from . import asymptotics, counting, diagrams, memory_game, series, tables
 from .diagrams import (
     BudgetExceededError,
     canonicalize,
@@ -28,7 +28,6 @@ from .diagrams import (
     noncrossing_survey,
     oracle_budget,
     stats as diagram_stats,
-    survey_parallel,
 )
 
 # --- table construction by route ---------------------------------------
@@ -54,11 +53,11 @@ def _fold(hist, n: int, coord) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _oracle_rows(coord: str, k: int, n_max: int, jobs: int, budget: int | None):
-    return [_fold(survey_parallel(k, n, jobs=jobs, budget=budget), n, coord) for n in range(n_max + 1)]
+def _oracle_rows(coord: str, k: int, n_max: int, budget: int | None):
+    return [_fold(diagrams.survey(k, n, budget=budget), n, coord) for n in range(n_max + 1)]
 
 
-# stat -> route -> rows(k, n_max, jobs, budget): rows 0..n_max (m_max for
+# stat -> route -> rows(k, n_max, budget): rows 0..n_max (m_max for
 # nc-short).  Each route is its own derivation.  Builders are looked up
 # when a route runs, so a replaced module function is the one called.
 ROUTES = {
@@ -77,7 +76,7 @@ ROUTES = {
     "nc-short": {
         "recurrence": lambda k, m_max, *_: list(tables.noncrossing_table(k, m_max).rows),
         "series": lambda k, m_max, *_: _coefficient_rows(series.T_series(k, m_max, m_max), m_max),
-        "oracle": lambda k, m_max, _jobs, budget: noncrossing_survey(k, m_max, budget),
+        "oracle": lambda k, m_max, budget: noncrossing_survey(k, m_max, budget),
     },
 }
 STATS = tuple(ROUTES)
@@ -117,7 +116,7 @@ def _trim(row) -> tuple[int, ...]:
     return tuple(row)
 
 
-def build_rows(stat: str, k: int, n_max: int, route: str, jobs: int = 1, budget: int | None = None):
+def build_rows(stat: str, k: int, n_max: int, route: str, budget: int | None = None):
     """Rows 0..n_max of one statistic by one route of ``ROUTES``; component
     rows drop trailing zeros, as the published triangles do."""
     if k < 2 or n_max < 0:
@@ -129,7 +128,7 @@ def build_rows(stat: str, k: int, n_max: int, route: str, jobs: int = 1, budget:
             f"route {route!r} not applicable to stat {stat!r}; "
             f"choose from {', '.join(ROUTES[stat])}"
         )
-    rows = ROUTES[stat][route](k, n_max, jobs, budget)
+    rows = ROUTES[stat][route](k, n_max, budget)
     return [_trim(row) for row in rows] if stat == "components" else rows
 
 
@@ -201,7 +200,7 @@ def _cmd_table(args) -> int:
     if args.offset is not None and args.format != "bfile":
         raise ValueError("--offset needs --format bfile")
     route = args.route or DEFAULT_ROUTE[args.stat]
-    rows = build_rows(args.stat, args.k, args.n_max, route, args.jobs, args.budget)
+    rows = build_rows(args.stat, args.k, args.n_max, route, args.budget)
     with _emit(args.out) as write:
         if args.format == "csv":
             rows_to_csv(rows, write)
@@ -324,12 +323,11 @@ def _board_from_file(path: str) -> memory_game.Board:
 
 
 def _cmd_asympt(args) -> int:
-    n_values = [int(tok) for tok in args.n.split(",") if tok.strip()]
     if args.kind == "nc-short":
-        report = asymptotics.nc_mean_report(args.k, n_values)
+        report = asymptotics.nc_mean_report(args.k, args.n)
     else:
         kind = "short_chords" if args.kind == "short" else "components"
-        report = asymptotics.poisson_convergence_report(args.k, n_values, kind)
+        report = asymptotics.poisson_convergence_report(args.k, args.n, kind)
     with _emit(args.out) as write:
         if args.format == "csv":
             write(report.to_csv_text())
@@ -339,7 +337,7 @@ def _cmd_asympt(args) -> int:
 
 
 # --- verify -------------------------------------------------------------
-# A check takes (rows, k, n_max, m_max, jobs, budget), where rows(stat,
+# A check takes (rows, k, n_max, m_max, budget), where rows(stat,
 # route) is that route's table, built once per run.  It returns its
 # success line, its first MISMATCH line, or "" when it does not apply.
 
@@ -420,12 +418,12 @@ def _triples_k2(rows, k, n_max, *_) -> str:
     return "k=2 triple counts match the closed form\n"
 
 
-def _oracle_agreement(rows, k, n_max, m_max, jobs, budget) -> str:
+def _oracle_agreement(rows, k, n_max, m_max, budget) -> str:
     """Folds one survey per n, within the budget, into the d, c, T and
     triple rows and compares them with the derived tables."""
     within = [n for n in range(n_max + 1) if counting.total_diagrams(k, n) <= oracle_budget(budget)]
     for n in within:
-        hist = survey_parallel(k, n, jobs=jobs, budget=budget)
+        hist = diagrams.survey(k, n, budget=budget)
         against = [("short-chord", "s", "short", "closed"), ("component", "q", "components", "closed")]
         if n <= m_max:
             against.append(("non-crossing", n, "nc-short", "recurrence"))
@@ -451,7 +449,6 @@ def run_verify(
     k: int,
     n_max: int,
     m_max: int | None = None,
-    jobs: int = 1,
     budget: int | None = None,
     write=None,
 ) -> int:
@@ -462,10 +459,10 @@ def run_verify(
 
     @functools.cache
     def rows(stat: str, route: str) -> list:
-        return build_rows(stat, k, m_max if stat == "nc-short" else n_max, route, jobs, budget)
+        return build_rows(stat, k, m_max if stat == "nc-short" else n_max, route, budget)
 
     for check in VERIFY_CHECKS:
-        line = check(rows, k, n_max, m_max, jobs, budget)
+        line = check(rows, k, n_max, m_max, budget)
         write(line)
         if line.startswith("MISMATCH"):
             return 1
@@ -475,9 +472,7 @@ def run_verify(
 
 def _cmd_verify(args) -> int:
     chunks: list[str] = []
-    code = run_verify(
-        args.k, args.n_max, args.m_max, jobs=args.jobs, budget=args.budget, write=chunks.append
-    )
+    code = run_verify(args.k, args.n_max, args.m_max, budget=args.budget, write=chunks.append)
     with _emit(args.out) as write:
         write("".join(chunks))
     return code
@@ -486,11 +481,15 @@ def _cmd_verify(args) -> int:
 # --- parser -------------------------------------------------------------
 
 
-def positive_int(text: str, low: int = 1) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:  # argparse would name this function, not the type
+        return int(text)
+    except ValueError:  # argparse would name the type function, not the type
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def positive_int(text: str, low: int = 1) -> int:
+    value = _int(text)
     if value < low:
         raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
@@ -498,6 +497,10 @@ def positive_int(text: str, low: int = 1) -> int:
 
 def nonnegative_int(text: str) -> int:
     return positive_int(text, 0)
+
+
+def int_list(text: str) -> list[int]:
+    return [_int(tok) for tok in text.split(",") if tok.strip()]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -513,6 +516,9 @@ def _stats_arguments(p) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
+JOBS_HELP = "checked to be at least 1, then ignored: every oracle walks its diagrams in one process"
+
+
 def _table_arguments(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--stat", choices=STATS, required=True)
@@ -520,7 +526,7 @@ def _table_arguments(p) -> None:
     p.add_argument("--route", default=None, help="closed|kp1|kp2|series|recurrence|oracle")
     p.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
     p.add_argument("--offset", type=int, default=None, help="first index for bfile output (default 1)")
-    p.add_argument("--jobs", type=positive_int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1, help=JOBS_HELP)
     p.add_argument("--budget", type=int, default=None)
 
 
@@ -528,7 +534,7 @@ def _verify_arguments(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--jobs", type=positive_int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1, help=JOBS_HELP)
     p.add_argument("--budget", type=int, default=None)
 
 
@@ -561,7 +567,7 @@ def _memory_arguments(p) -> None:
 def _asympt_arguments(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", choices=STATS, default="short")
-    p.add_argument("--n", required=True, help="comma-separated n values")
+    p.add_argument("--n", type=int_list, required=True, help="comma-separated n values")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 

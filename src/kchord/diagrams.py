@@ -12,6 +12,7 @@ survey (the test oracle) and the memory game's exhaustive deals.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from itertools import combinations
@@ -29,19 +30,33 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
+def _integer(value, what: str) -> int:
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def oracle_budget(override: int | None = None, total: int = 0) -> int:
     """Enumeration cap for brute-force surveys, checked against the
     ``total`` objects an enumeration would visit.
 
     Priority: explicit argument, then the ``KCHORD_ORACLE_BUDGET``
-    environment variable, then the default of 10**7.  A negative budget
-    is rejected, and a ``total`` above the cap raises
-    :class:`BudgetExceededError`.
+    environment variable, then the default of 10**7.  A budget that is
+    not an integer or is negative is rejected, and a ``total`` above the
+    cap raises :class:`BudgetExceededError`.
     """
-    if override is None:
-        env = os.environ.get("KCHORD_ORACLE_BUDGET")
-        override = env if env else DEFAULT_ORACLE_BUDGET
-    budget = int(override)
+    if override is not None:
+        budget = _integer(override, "oracle budget")
+    elif env := os.environ.get("KCHORD_ORACLE_BUDGET"):
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ValueError(f"KCHORD_ORACLE_BUDGET must be an integer, got {env!r}") from None
+    else:
+        budget = DEFAULT_ORACLE_BUDGET
     if budget < 0:
         raise ValueError(f"oracle budget must be nonnegative, got {budget}")
     if total > budget:
@@ -516,16 +531,3 @@ def survey(k: int, n: int, budget: int | None = None) -> dict[tuple[int, int, in
         return {(n, n, n): 1}
     return _partitions(k * n, k, _survey_step, _SURVEY_ROOT, _survey_extend, _SURVEY_EMPTY, _survey_leaf)
 
-
-def survey_parallel(
-    k: int,
-    n: int,
-    jobs: int = 1,
-    budget: int | None = None,
-) -> dict[tuple[int, int, int], int]:
-    """:func:`survey` for the command line's ``--jobs``: ``jobs`` must be
-    at least 1, and the walk runs in one process whatever its value, as
-    splitting it would lose the prefixes and tails its parts share."""
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
-    return survey(k, n, budget=budget)

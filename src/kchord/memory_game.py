@@ -10,7 +10,6 @@ chords and the components coincide.
 
 from __future__ import annotations
 
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .counting import SelfCheckError, total_diagrams
-from .diagrams import _partitions, oracle_budget
+from .diagrams import _integer, _partitions, oracle_budget
 
 SAMPLE_CHUNK = 1 << 14
 SAMPLE_SLICE = 1 << 11  # rows shuffled and keyed at a time within a chunk
@@ -118,15 +117,6 @@ def board_from_edges(vertex_count: int, edges: Sequence[Sequence[int]], label: s
         u, v = (_integer(end, "edge endpoint") for end in edge)
         normalized.append((u, v) if u <= v else (v, u))
     return Board(count, tuple(normalized), label or f"edges:{count}")
-
-
-def _integer(value, what: str) -> int:
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def board_from_spec(text: str) -> Board:

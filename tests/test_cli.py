@@ -15,7 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import C_TABLE_K3, D_TABLE_K3, T_TABLE_K3
-from kchord import BivariateSeries, cli, counting, fuss_catalan, series, tables, total_diagrams
+from kchord import BivariateSeries, cli, counting, diagrams, fuss_catalan, series, tables, total_diagrams
 from kchord.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -173,10 +173,19 @@ class TestTable:
         assert oracle == run_cli(capsys, *argv, "--route", "recurrence")[1]
 
     def test_nc_oracle_output_independent_of_jobs(self, capsys):
-        argv = ["table", "--k", "3", "--stat", "nc-short", "--n-max", "6", "--route", "oracle"]
-        code, one, _ = run_cli(capsys, *argv, "--jobs", "1")
-        assert code == 0 and one
-        assert run_cli(capsys, *argv, "--jobs", "2") == (0, one, "")
+        # --jobs is checked and ignored: every oracle, and verify, print
+        # the same with any valid --jobs as without it.
+        for line in [
+            "table --k 3 --stat nc-short --n-max 6 --route oracle",
+            "table --k 3 --stat short --n-max 4 --route oracle",
+            "table --k 2 --stat components --n-max 6 --route oracle",
+            "verify --k 3 --n-max 4",
+        ]:
+            argv = line.split()
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and out, line
+            for jobs in ("1", "2"):
+                assert run_cli(capsys, *argv, "--jobs", jobs) == (0, out, ""), (line, jobs)
 
     def test_nc_oracle_budget(self, capsys):
         code, out, err = run_cli(
@@ -289,7 +298,7 @@ class TestVerify:
                 (series, "T_series", 3, "MISMATCH k=3 n=3 s=1 recurrence=4 series=5"),
                 (series, "triple_table", 3, "MISMATCH k=3 n=0 s=0 m=0 oracle=1 series=2"),
                 (series, "triple_table", 2, "MISMATCH k=2 n=0 s=0 m=0 closed=1 series=2"),
-                (cli, "survey_parallel", 3, "MISMATCH k=3 n=0 oracle short-chord row [2] vs (1,)"),
+                (diagrams, "survey", 3, "MISMATCH k=3 n=0 oracle short-chord row [2] vs (1,)"),
                 (counting, "narayana", 2, "MISMATCH k=2 m=1 s=0 narayana=1 table=0"),
             ]
         ],
@@ -314,23 +323,23 @@ class TestVerify:
     def test_detects_oracle_row_mismatch(self, capsys, monkeypatch, moved, line):
         # The one diagram of n = 1, (s, q, m) = (1, 1, 1), is reported with
         # no component or with no non-crossing block.
-        real = cli.survey_parallel
+        real = diagrams.survey
         monkeypatch.setattr(
-            cli, "survey_parallel", lambda k, n, **kw: {moved: 1} if n == 1 else real(k, n, **kw)
+            diagrams, "survey", lambda k, n, **kw: {moved: 1} if n == 1 else real(k, n, **kw)
         )
         code, out, _ = run_cli(capsys, "verify", "--k", "3", "--n-max", "3")
         assert code == 1
         assert out.splitlines()[-1] == line
 
     def test_surveys_each_n_once(self, capsys, monkeypatch):
-        real = cli.survey_parallel
+        real = diagrams.survey
         surveyed = []
 
         def counted(k, n, **kwargs):
             surveyed.append(n)
             return real(k, n, **kwargs)
 
-        monkeypatch.setattr(cli, "survey_parallel", counted)
+        monkeypatch.setattr(diagrams, "survey", counted)
         code, _, _ = run_cli(capsys, "verify", "--k", "3", "--n-max", "3")
         assert code == 0
         assert sorted(surveyed) == [0, 1, 2, 3]
@@ -668,6 +677,7 @@ class TestArgumentErrors:
             ("memory --board path:4 --k 2 --seed -1", "argument --seed: must be at least 0, got -1"),
             ("memory --board path:4 --k 2 --sample 0", "argument --sample: must be at least 1, got 0"),
             ("asympt --k x --n 3", "argument --k: invalid int value: 'x'"),
+            ("asympt --k 2 --n 5,x", "argument --n: invalid int value: 'x'"),
             ("table --k 2 --stat short", "the following arguments are required: --n-max"),
             ("stats --word 0,1 --k 0", "block size must be at least 2, got 0"),
             ("table --k 3 --stat short --n-max 3 --offset 5 --format csv", "--offset needs --format bfile"),
@@ -677,7 +687,7 @@ class TestArgumentErrors:
         ],
         ids=[
             "stats", "table", "verify", "series", "oeis", "memory", "memory-seed", "memory-sample",
-            "asympt", "missing", "stats-k0",
+            "asympt", "asympt-n", "missing", "stats-k0",
             "offset-csv", "offset-json", "order2-F", "order2-C",
         ],
     )
@@ -717,6 +727,14 @@ class TestArgumentErrors:
         monkeypatch.setenv("KCHORD_ORACLE_BUDGET", "-5")
         code, out, _ = run_cli(capsys, "memory", "--board", "path:4", "--k", "2", "--exhaustive")
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("value", ["abc", "1e6"])
+    def test_rejects_non_integer_env_budget(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("KCHORD_ORACLE_BUDGET", value)
+        argv = "table --k 2 --stat short --n-max 3 --route oracle".split()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: KCHORD_ORACLE_BUDGET must be an integer, got {value!r}\n"
 
     @pytest.mark.parametrize("command", ["table --stat short --route oracle", "verify"])
     def test_rejects_jobs_below_one(self, capsys, command):

@@ -32,7 +32,6 @@ from kchord import (
     path_board,
     stats,
     survey,
-    survey_parallel,
     total_diagrams,
 )
 from kchord import counting, diagrams
@@ -493,10 +492,6 @@ class TestSurvey:
         assert [shorts[s] for s in range(n + 1)] == counting.short_chord_row(k, n)
         assert tuple(components[q] for q in range(n + 1)) == counting.component_row(k, n)
 
-    def test_parallel_equals_serial(self):
-        assert survey_parallel(3, 3, jobs=2) == survey(3, 3)
-        assert survey_parallel(2, 5, jobs=3) == survey(2, 5)
-
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError) as exc:
             survey(3, 6, budget=1000)
@@ -508,14 +503,18 @@ class TestSurvey:
         with pytest.raises(BudgetExceededError):
             survey(2, 3)
 
-    def test_rejects_negative_budget_and_jobs(self, monkeypatch):
+    def test_rejects_negative_budget(self, monkeypatch):
         with pytest.raises(ValueError):
             oracle_budget(-1)
         monkeypatch.setenv("KCHORD_ORACLE_BUDGET", "-1")
         with pytest.raises(ValueError):
             survey(2, 3)
-        with pytest.raises(ValueError, match="jobs >= 1"):
-            survey_parallel(2, 3, jobs=0, budget=100)
+
+    @pytest.mark.parametrize("budget", [2.5, 15.0, "15", True])
+    def test_rejects_non_integral_budget(self, budget):
+        # 2.5 is not truncated to a cap of 2, and 15.0 is not taken for 15
+        with pytest.raises(ValueError, match="oracle budget must be an integer"):
+            survey(2, 3, budget=budget)
 
     def test_budget_argument_wins(self, monkeypatch):
         monkeypatch.setenv("KCHORD_ORACLE_BUDGET", "10")
@@ -526,11 +525,10 @@ class TestSurvey:
     "oracle, size",
     [
         (lambda budget: survey(3, 3, budget=budget), total_diagrams(3, 3)),
-        (lambda budget: survey_parallel(2, 4, jobs=2, budget=budget), total_diagrams(2, 4)),
         (lambda budget: noncrossing_survey(3, 4, budget=budget), fuss_catalan(3, 4)),
         (lambda budget: exhaustive_distribution(path_board(8), 2, budget=budget), total_diagrams(2, 4)),
     ],
-    ids=["survey", "survey_parallel", "noncrossing_survey", "exhaustive_distribution"],
+    ids=["survey", "noncrossing_survey", "exhaustive_distribution"],
 )
 def test_budget_is_exact(oracle, size):
     with pytest.raises(BudgetExceededError) as exc:
