@@ -55,9 +55,9 @@ class Board:
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         masks = [0] * self.vertex_count
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        for a, b in self.edges:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
         return tuple(masks)
 
 
@@ -122,13 +122,14 @@ def board_from_edges(vertex_count: int, edges: Sequence[Sequence[int]], label: s
 def board_from_spec(text: str) -> Board:
     """Parse ``path:M``, ``grid:RxC`` or ``torus:RxC``."""
     kind, _, rest = text.partition(":")
-    if kind == "path":
-        return path_board(int(rest))
-    if kind in ("grid", "torus"):
-        r, _, c = rest.partition("x")
-        make = grid_board if kind == "grid" else torus_board
-        return make(int(r), int(c))
-    raise ValueError(f"unknown board spec {text!r}")
+    make = {"path": path_board, "grid": grid_board, "torus": torus_board}.get(kind)
+    try:
+        sizes = [int(size) for size in rest.split("x")]
+    except ValueError:
+        sizes = []
+    if make is None or len(sizes) != (1 if kind == "path" else 2):
+        raise ValueError(f"unknown board spec {text!r}: expected path:M, grid:RxC or torus:RxC")
+    return make(*sizes)
 
 
 def connected_k_sets(board: Board, k: int) -> Iterator[int]:
@@ -141,9 +142,9 @@ def connected_k_sets(board: Board, k: int) -> Iterator[int]:
     if k < 1:
         raise ValueError("need k >= 1")
     nbrs = board.neighbor_masks
-    for v in range(board.vertex_count):
-        above = -1 << (v + 1)
-        yield from _grow(nbrs, k, above, 1 << v, (1 << v) | nbrs[v], nbrs[v] & above, 1)
+    for anchor in range(board.vertex_count):
+        above = -1 << (anchor + 1)
+        yield from _grow(nbrs, k, above, 1 << anchor, (1 << anchor) | nbrs[anchor], nbrs[anchor] & above, 1)
 
 
 def _grow(
@@ -263,16 +264,12 @@ class SampleResult:
     rng_algorithm: str
 
 
-def _block_key(
-    board: Board, k: int
-) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray | None, np.ndarray | None]:
-    """The block key, a function from a (..., k) int64 array of blocks to
-    their int64 keys, and either the uint8 table of connected k-sets that
-    the key indexes, or (past TABLE_LIMIT) the keys of the connected
-    k-sets."""
+def _block_flags(board: Board, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A function from a (rows, n, k) int64 array of blocks to their
+    (rows, n) uint8 flags, 1 where a block is a connected k-set."""
     v_count = board.vertex_count
-    size = min(v_count**k, 1 << v_count)
-    if size > TABLE_LIMIT and comb(v_count, k) >= 1 << 63:
+    entries = v_count**k  # of the base-V table
+    if entries > TABLE_LIMIT and comb(v_count, k) >= 1 << 63:
         raise ValueError(f"board too large to sample: C({v_count}, {k}) >= 2^63 vertex sets")
     sets = []
     for mask in connected_k_sets(board, k):  # k steps per set, not V
@@ -282,7 +279,7 @@ def _block_key(
             mask &= mask - 1
     conn = np.array(sets, dtype=np.int64).reshape(-1, k)
 
-    if size == v_count**k and size <= TABLE_LIMIT:
+    if entries <= TABLE_LIMIT:
         def key(blocks: np.ndarray) -> np.ndarray:
             """The block in dealt order read in base V, by Horner's rule
             b0 + V(b1 + V(b2 + ...)): no gathers through the block columns."""
@@ -293,27 +290,29 @@ def _block_key(
             keys += blocks[..., 0]
             return keys
 
+        table = np.zeros(entries, dtype=np.uint8)
         # dealt order: mark every ordering of a connected set
-        conn = np.concatenate([conn[:, list(order)] for order in permutations(range(k))])
-    else:
-        def weight(i: int, v: int) -> int:
-            if size > TABLE_LIMIT:  # a sorted block's rank C(v_0, 1) + C(v_1, 2) + ...
-                return comb(v, i + 1) if v <= v_count - k + i else 0  # 0 where v is never i-th
-            return 1 << v  # the bitmask
+        table[key(np.concatenate([conn[:, list(order)] for order in permutations(range(k))]))] = 1
+        return lambda blocks: table[key(blocks)]
 
-        weights = np.array([[weight(i, v) for v in range(v_count)] for i in range(k)], dtype=np.int64)
+    # a sorted block's rank C(v_0, 1) + C(v_1, 2) + ..., with weight 0 where v is never i-th
+    weights = np.array(
+        [[comb(v, i + 1) if v <= v_count - k + i else 0 for v in range(v_count)] for i in range(k)], dtype=np.int64
+    )
 
-        def key(blocks: np.ndarray) -> np.ndarray:
-            keys = weights[0][blocks[..., 0]]
-            for i in range(1, k):
-                keys += weights[i][blocks[..., i]]
-            return keys
+    def rank(blocks: np.ndarray) -> np.ndarray:
+        keys = weights[0][blocks[..., 0]]
+        for i in range(1, k):
+            keys += weights[i][blocks[..., i]]
+        return keys
 
-        if size > TABLE_LIMIT:
-            return key, None, key(conn)
-    table = np.zeros(size, dtype=np.uint8)
-    table[key(conn)] = 1
-    return key, table, None
+    conn_ranks = rank(conn)  # each row of conn is sorted: its mask was read lowest bit first
+
+    def flags(blocks: np.ndarray) -> np.ndarray:
+        blocks.sort(axis=2)
+        return np.isin(rank(blocks), conn_ranks).view(np.uint8)
+
+    return flags
 
 
 def sample_placements(board: Board, k: int, samples: int, seed: int) -> SampleResult:
@@ -333,20 +332,19 @@ def sample_placements(board: Board, k: int, samples: int, seed: int) -> SampleRe
     and a summed histogram that does not hold every sample raises
     SelfCheckError.
 
-    Each block gets one integer key, which indexes a uint8 table of the
-    connected k-sets: the block in dealt order read in base V when
-    V^k <= 2^V (every ordering of a connected set is marked), else the
-    block's bitmask.  A row's looked-up flags are counted in one matrix
-    product with a vector of ones.  Boards whose table, min(V^k, 2^V)
-    entries, would exceed TABLE_LIMIT sort each block and match its
-    combinatorial rank against the ranks of the connected k-sets with
-    np.isin, which needs C(V, k) < 2^63.
+    A block is flagged connected by one of two keys.  When V^k <=
+    TABLE_LIMIT, the block in dealt order read in base V indexes a uint8
+    table that marks every ordering of each connected k-set.  Otherwise
+    the block is sorted and its combinatorial rank is matched against the
+    ranks of the connected k-sets with np.isin, which needs C(V, k) <
+    2^63.  A row's flags are counted in one matrix product with a vector
+    of ones.
     """
     n = _resolve_n(board, k)
     if samples < 1:
         raise ValueError("need samples >= 1")
     chunk_size = SAMPLE_CHUNK
-    key, table, conn_keys = _block_key(board, k)
+    flags = _block_flags(board, k)
     v_count = board.vertex_count
     ones = np.ones(n, dtype=np.min_scalar_type(n))  # wide enough that a row's count cannot wrap
 
@@ -360,11 +358,7 @@ def sample_placements(board: Board, k: int, samples: int, seed: int) -> SampleRe
             rows = work[: min(SAMPLE_SLICE, m - start)]
             rows[:] = np.arange(v_count)  # shuffled in place, row by row
             blocks = rng.permuted(rows, axis=1, out=rows).reshape(len(rows), n, k)
-            if table is None:
-                blocks.sort(axis=2)
-            keys = key(blocks)
-            flags = np.isin(keys, conn_keys).view(np.uint8) if table is None else table[keys]
-            hist += np.bincount(flags @ ones, minlength=n + 1)
+            hist += np.bincount(flags(blocks) @ ones, minlength=n + 1)
         return hist
 
     try:

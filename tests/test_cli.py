@@ -565,11 +565,12 @@ class TestMemory:
             ("path18_k6.json", "--board path:18 --k 6 --sample 20000 --seed 12"),
             ("grid5x6_k5.json", "--board grid:5x6 --k 5 --sample 20000 --seed 13"),
         ],
-        ids=["base-V-key", "bitmask-key", "sorted-rank-isin"],
+        ids=["base-V-key", "sorted-rank-isin-path18", "sorted-rank-isin"],
     )
     def test_sample_golden_output(self, capsys, fixture, argv):
-        # frozen from the sampler before the block-key table; one board per
-        # key kind, two chunks each (the second one partial)
+        # frozen from the sampler before the block-key table; the base-V key
+        # on grid:4x4, the isin key on path:18 (which once had a bitmask
+        # table) and grid:5x6; two chunks each (the second one partial)
         code, out, _ = run_cli(capsys, "memory", *argv.split())
         assert code == 0
         assert out == (FIXTURES / "memory" / fixture).read_text(encoding="utf-8")
@@ -684,11 +685,16 @@ class TestArgumentErrors:
             ("table --k 3 --stat short --n-max 3 --offset 1 --format json", "--offset needs --format bfile"),
             ("series --k 2 --gf F --order 2 --order2 5", "--order2 needs --gf T or L"),
             ("series --k 2 --gf C --order 2 --order2 2", "--order2 needs --gf T or L"),
+            *(
+                (f"memory --board {spec} --k 2", f"unknown board spec {spec!r}: expected path:M, grid:RxC or torus:RxC")
+                for spec in ("hex:3", "path:abc", "path:", "grid:3", "torus:2x", "grid:3x4x5")
+            ),
         ],
         ids=[
             "stats", "table", "verify", "series", "oeis", "memory", "memory-seed", "memory-sample",
             "asympt", "asympt-n", "missing", "stats-k0",
             "offset-csv", "offset-json", "order2-F", "order2-C",
+            "board-hex", "board-path-abc", "board-path-empty", "board-grid-1d", "board-torus-2x", "board-grid-3d",
         ],
     )
     def test_one_line_errors(self, capsys, argv, message):

@@ -30,7 +30,7 @@ from kchord import (
     torus_board,
 )
 from kchord.counting import component_row, mean_short_chords, short_chord_row, total_diagrams
-from kchord.memory_game import _block_key, _mask_components, connected_k_sets, connected_k_subgraphs
+from kchord.memory_game import _mask_components, connected_k_sets, connected_k_subgraphs
 
 
 def loop_histogram(board: Board, k: int, samples: int, seed: int, chunk_size: int) -> dict:
@@ -62,10 +62,7 @@ def draw_board(data) -> Board:
 
 def key_kind(board: Board, k: int) -> str:
     """Which block key sample_placements uses on this board."""
-    _key, table, _conn_keys = _block_key(board, k)
-    if table is None:
-        return "isin"
-    return "base-V" if len(table) == board.vertex_count**k else "bitmask"
+    return "base-V" if board.vertex_count**k <= memory_game.TABLE_LIMIT else "isin"
 
 
 def naive_connected_sets(board: Board, k: int) -> set[frozenset]:
@@ -347,7 +344,12 @@ class TestSampling:
                 ("grid:5x6", 3, "base-V"),
                 ("torus:6x6", 4, "base-V"),
                 ("path:600", 2, "base-V"),  # 300 blocks: a row's count needs more than 8 bits
-                ("path:18", 6, "bitmask"),  # 18^6 > 2^18
+                # the benchmark's boards not listed above
+                ("grid:3x6", 3, "base-V"),
+                ("torus:4x5", 2, "base-V"),
+                ("torus:6x6", 2, "base-V"),
+                ("grid:6x8", 4, "base-V"),  # 48^4 = 5.3 M table entries
+                ("path:18", 6, "isin"),  # 18^6 > 2^23
                 ("grid:5x6", 5, "isin"),  # 30^5 > 2^23
                 ("path:66", 33, "isin"),
             ]
@@ -362,7 +364,7 @@ class TestSampling:
         assert r.histogram == loop_histogram(board, k, 2500, 5, 1000)
 
     @pytest.mark.parametrize(
-        "spec, k, kind", [("grid:4x4", 2, "base-V"), ("path:18", 6, "bitmask"), ("grid:5x6", 5, "isin")]
+        "spec, k, kind", [("grid:4x4", 2, "base-V"), ("path:18", 6, "isin"), ("grid:5x6", 5, "isin")]
     )
     def test_slices_that_do_not_divide_the_chunk(self, monkeypatch, spec, k, kind):
         # 7 divides neither 1000 nor the last chunk's 500 rows
@@ -449,7 +451,7 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "spec, k, size, kind",
-        [("grid:4x4", 2, 16**2, "base-V"), ("path:18", 6, 2**18, "bitmask")],
+        [("grid:4x4", 2, 16**2, "base-V"), ("path:12", 4, 12**4, "base-V")],  # 12^4 > 2^12
     )
     def test_table_limit_boundary(self, monkeypatch, spec, k, size, kind):
         board = board_from_spec(spec)
@@ -465,7 +467,7 @@ class TestSampling:
     def test_every_key_kind_matches_loop_reference(self, data):
         board = draw_board(data)
         k = data.draw(st.sampled_from([d for d in range(2, 9) if board.vertex_count % d == 0]), label="k")
-        # tables here hold at most 2^8 entries, so a low limit reaches all three kinds
+        # V^k runs from 0 to 8^8 here, so a limit up to 300 reaches both kinds
         limit = data.draw(st.integers(0, 300), label="TABLE_LIMIT")
         samples = data.draw(st.integers(1, 200), label="samples")
         chunk_rows = data.draw(st.integers(1, 64), label="SAMPLE_CHUNK")
