@@ -5,7 +5,8 @@ short chords in a uniform *non-crossing* diagram is asymptotically
 normal.  Everything exact stays exact: Poisson masses involve e^(-lam),
 which is handled as a dyadic interval with outward rounding so that
 "the distance decreased" is a rigorous verdict, not a float one.
-The reports compute only the rows at the requested n.
+The reports compute only the rows at the requested n, each report as a
+per-n point given to the one builder ``_report``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import counting, tables
 
@@ -196,11 +197,28 @@ def decimal_str(x: Fraction, places: int = 18, round_up: bool = False) -> str:
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 
 
-def _check_sizes(k: int, n_values: Sequence[int]) -> None:
+def _report(
+    k: int,
+    kind: str,
+    n_values: Sequence[int],
+    limit: Callable[[], Fraction],
+    point: Callable[[int], tuple[Fraction, Fraction, Fraction]],
+) -> AsymptoticReport:
+    """The report of ``point(n)`` = (exact value, error lower bound, error
+    upper bound) along ``n_values``, with sizes checked before ``limit()``
+    or any point is computed."""
+    n_values = tuple(n_values)
     if not n_values:
         raise ValueError("need at least one n")
     if k < 2 or min(n_values) < 1:
         raise ValueError("need k >= 2 and every n >= 1")
+    exact, lower, upper = zip(*map(point, n_values))
+    # monotone: each error interval lies strictly below the one before it
+    monotone = all(hi < lo for hi, lo in zip(upper[1:], lower))
+    return AsymptoticReport(
+        k=k, kind=kind, n=n_values, exact=exact, limit=limit(),
+        errors=upper, errors_lower=lower, monotone=monotone,
+    )
 
 
 def poisson_convergence_report(
@@ -213,35 +231,19 @@ def poisson_convergence_report(
     closed form.  The ``errors`` sequence is the certified TV upper bound
     per n; ``monotone`` holds only if the intervals strictly decrease.
     """
-    n_values = list(n_values)
-    _check_sizes(k, n_values)
     if kind == "short_chords":
         row_at = counting.short_chord_row
     elif kind == "components":
         row_at = counting.component_row
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    exact = []
-    errs_hi = []
-    errs_lo = []
-    for n in n_values:
+
+    def point(n: int) -> tuple[Fraction, Fraction, Fraction]:
         row = row_at(k, n)
-        exact.append(factorial_moment(row, 1))
         lo, hi = tv_distance_interval(row, poisson_lambda(k, n))
-        errs_lo.append(lo)
-        errs_hi.append(hi)
-    monotone = all(errs_hi[i + 1] < errs_lo[i] for i in range(len(n_values) - 1))
-    limit = Fraction(1) if k == 2 else Fraction(0)
-    return AsymptoticReport(
-        k=k,
-        kind=kind,
-        n=tuple(n_values),
-        exact=tuple(exact),
-        limit=limit,
-        errors=tuple(errs_hi),
-        errors_lower=tuple(errs_lo),
-        monotone=monotone,
-    )
+        return factorial_moment(row, 1), lo, hi
+
+    return _report(k, kind, n_values, lambda: Fraction(1 if k == 2 else 0), point)
 
 
 def nc_mean_variance(k: int, n: int) -> tuple[Fraction, Fraction]:
@@ -270,23 +272,13 @@ def nc_mean_variance(k: int, n: int) -> tuple[Fraction, Fraction]:
 
 def nc_mean_report(k: int, n_values: Sequence[int]) -> AsymptoticReport:
     """Exact mean/n of the non-crossing short-chord rows against its limit."""
-    n_values = list(n_values)
-    _check_sizes(k, n_values)
-    limit = nc_mean_variance(k, 1)[0]
-    exact = []
-    errors = []
-    for n in n_values:
-        mean = factorial_moment(tables.noncrossing_row(k, n), 1)
-        exact.append(mean / n)
-        errors.append(abs(mean / n - limit))
-    monotone = all(errors[i + 1] < errors[i] for i in range(len(n_values) - 1))
-    return AsymptoticReport(
-        k=k,
-        kind="noncrossing_short_mean",
-        n=tuple(n_values),
-        exact=tuple(exact),
-        limit=limit,
-        errors=tuple(errors),
-        errors_lower=tuple(errors),
-        monotone=monotone,
-    )
+
+    def limit() -> Fraction:
+        return nc_mean_variance(k, 1)[0]
+
+    def point(n: int) -> tuple[Fraction, Fraction, Fraction]:
+        mean = factorial_moment(tables.noncrossing_row(k, n), 1) / n
+        error = abs(mean - limit())
+        return mean, error, error
+
+    return _report(k, "noncrossing_short_mean", n_values, limit, point)

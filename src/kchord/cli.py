@@ -553,7 +553,8 @@ def _oeis_arguments(p) -> None:
 
 
 def _memory_arguments(p) -> None:
-    p.add_argument("--board", required=True, help="path:M | grid:RxC | torus:RxC | file.json")
+    p.add_argument("--board", required=True, help="path:M | grid:RxC | torus:RxC (ASCII digits, no leading zero)"
+                   ' | JSON file {"vertices": V, "edges": [[u, v], ...]}')
     p.add_argument("--k", type=positive_int, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--mean", action="store_true", help="exact mean polyomino count")

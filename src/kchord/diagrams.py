@@ -330,7 +330,7 @@ def _partitions(
     leaf: Callable[[Any, list, dict, int], None],
 ) -> dict[Hashable, int]:
     """The histogram that ``leaf`` fills over the partitions of
-    range(vertices) into k-sets, at least two of them.
+    range(vertices) into k-sets.
 
     The blocks of a partition are bitmasks in order of their lowest
     vertex; each block takes the lowest free vertex and k-1 partners
@@ -351,8 +351,6 @@ def _partitions(
     tail fact.
     """
     n = vertices // k
-    if n < 2:
-        raise ValueError(f"the partition walk needs two or more blocks, got {n}")
     layer = {(1 << vertices) - 1: {root: 1}}
     for _ in range(n - 3):
         below: dict[int, dict] = {}
@@ -371,7 +369,7 @@ def _partitions(
     tails: dict[int, list] = {0: [(empty, 1)]}
     keep = min(2 * k, vertices - 2 * k)  # the masks below the leaf's that can have several parents
     for free, states in layer.items():
-        tail = _tail(free, k, extend, tails, keep)
+        tail = tails.get(free) or _tail(free, k, extend, tails, keep)
         for state, count in states.items():
             leaf(state, tail, hist, count)
     return hist
@@ -490,22 +488,22 @@ def stats(diagram: Diagram) -> BlockStats:
     """Compute the four block statistics of a diagram.
 
     The first three fold the survey's walk step over every block but the
-    last two and read those two through its extend and leaf, as the
+    last min(n, 2) and read those through its extend and leaf, as the
     oracle does.
     """
     masks = diagram.masks()
-    if diagram.n < 2:  # the empty diagram, or one short block
-        shorts = components = noncrossing = diagram.n
-    else:
-        state, rest = _SURVEY_ROOT, (1 << len(diagram.word)) - 1
-        for m in masks[:-2]:
-            rest -= m
-            state = _survey_step(rest, state, m)
-        hist: dict[tuple[int, int, int], int] = {}
-        last = _survey_extend(masks[-1], masks[-1], _SURVEY_EMPTY)
-        last = _survey_extend(rest, masks[-2], last)
-        _survey_leaf(state, [(last, 1)], hist, 1)
-        ((shorts, components, noncrossing),) = hist
+    cut = diagram.n - min(diagram.n, 2)
+    state, rest = _SURVEY_ROOT, (1 << len(diagram.word)) - 1
+    for m in masks[:cut]:
+        rest -= m
+        state = _survey_step(rest, state, m)
+    fact, free = _SURVEY_EMPTY, 0
+    for m in reversed(masks[cut:]):
+        free |= m
+        fact = _survey_extend(free, m, fact)
+    hist: dict[tuple[int, int, int], int] = {}
+    _survey_leaf(state, [(fact, 1)], hist, 1)
+    ((shorts, components, noncrossing),) = hist
     return BlockStats(
         short_chords=shorts,
         components=components,
@@ -527,7 +525,5 @@ def survey(k: int, n: int, budget: int | None = None) -> dict[tuple[int, int, in
     if k < 2 or n < 0:
         raise ValueError("need k >= 2 and n >= 0")
     oracle_budget(budget, total_diagrams(k, n))
-    if n < 2:  # the empty diagram, or one short block
-        return {(n, n, n): 1}
     return _partitions(k * n, k, _survey_step, _SURVEY_ROOT, _survey_extend, _SURVEY_EMPTY, _survey_leaf)
 

@@ -11,6 +11,7 @@ chords and the components coincide.
 from __future__ import annotations
 
 import os
+import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,16 +121,15 @@ def board_from_edges(vertex_count: int, edges: Sequence[Sequence[int]], label: s
 
 
 def board_from_spec(text: str) -> Board:
-    """Parse ``path:M``, ``grid:RxC`` or ``torus:RxC``."""
-    kind, _, rest = text.partition(":")
-    make = {"path": path_board, "grid": grid_board, "torus": torus_board}.get(kind)
-    try:
-        sizes = [int(size) for size in rest.split("x")]
-    except ValueError:
-        sizes = []
-    if make is None or len(sizes) != (1 if kind == "path" else 2):
+    """Parse ``path:M``, ``grid:RxC`` or ``torus:RxC``, with sizes in ASCII
+    digits and no leading zero, so that the board's label is ``text``."""
+    match = re.fullmatch(r"path:(0|[1-9][0-9]*)|(grid|torus):([1-9][0-9]*)x([1-9][0-9]*)", text)
+    if match is None:
         raise ValueError(f"unknown board spec {text!r}: expected path:M, grid:RxC or torus:RxC")
-    return make(*sizes)
+    path, kind, rows, cols = match.groups()
+    if path is not None:
+        return path_board(int(path))
+    return (grid_board if kind == "grid" else torus_board)(int(rows), int(cols))
 
 
 def connected_k_sets(board: Board, k: int) -> Iterator[int]:
@@ -224,9 +224,6 @@ def exhaustive_distribution(board: Board, k: int, budget: int | None = None) -> 
     n = _resolve_n(board, k)
     oracle_budget(budget, total_diagrams(k, n))
     connected = set(connected_k_sets(board, k))
-    if n < 2:  # one deal: no block, or the whole board
-        polyominoes = int((1 << board.vertex_count) - 1 in connected)
-        return {(polyominoes, polyominoes): 1}
     nbrs = board.neighbor_masks
     components: dict[int, int] = {}  # by union; a board has few distinct unions
 

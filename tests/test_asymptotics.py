@@ -24,6 +24,7 @@ from kchord.asymptotics import (
     factorial_moment,
 )
 from kchord import tables
+from kchord.counting import component_row, short_chord_row
 from kchord.tables import d_table_kp2, fuss_catalan
 
 
@@ -165,6 +166,27 @@ class TestPoissonReport:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             poisson_convergence_report(2, [])
+
+    @pytest.mark.parametrize("kind, row_at", [("short_chords", short_chord_row), ("components", component_row)])
+    def test_errors_are_the_tv_bounds(self, kind, row_at):
+        rep = poisson_convergence_report(3, [6, 12], kind)
+        for n, lo, hi in zip(rep.n, rep.errors_lower, rep.errors):
+            assert (lo, hi) == tv_distance_interval(row_at(3, n), poisson_lambda(3, n))
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            lambda ns: poisson_convergence_report(2, ns),
+            lambda ns: poisson_convergence_report(2, ns, "components"),
+            lambda ns: nc_mean_report(3, ns),
+        ],
+        ids=["short", "components", "nc-short"],
+    )
+    def test_monotone_needs_each_interval_strictly_below(self, report):
+        assert report([10, 20]).monotone
+        # an equal interval, or a higher one, is not strictly below the one before
+        assert not report([10, 10]).monotone
+        assert not report([20, 10]).monotone
 
     @pytest.mark.parametrize("k, n_values", [(1, [3]), (0, [5]), (2, [0, 5]), (3, [-1])])
     def test_rejects_bad_sizes(self, k, n_values):

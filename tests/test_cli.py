@@ -5,8 +5,10 @@ import functools
 import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -686,8 +688,14 @@ class TestArgumentErrors:
             ("series --k 2 --gf F --order 2 --order2 5", "--order2 needs --gf T or L"),
             ("series --k 2 --gf C --order 2 --order2 2", "--order2 needs --gf T or L"),
             *(
-                (f"memory --board {spec} --k 2", f"unknown board spec {spec!r}: expected path:M, grid:RxC or torus:RxC")
-                for spec in ("hex:3", "path:abc", "path:", "grid:3", "torus:2x", "grid:3x4x5")
+                (
+                    f"memory --board {shlex.quote(spec)} --k 2",
+                    f"unknown board spec {spec!r}: expected path:M, grid:RxC or torus:RxC",
+                )
+                for spec in (
+                    "hex:3", "path:abc", "path:", "grid:3", "torus:2x", "grid:3x4x5",
+                    "path:1_0", "grid: 2x+2", "path:\uff11\uff12", "path:010", "path:-3", "grid:0x3",
+                )
             ),
         ],
         ids=[
@@ -695,10 +703,12 @@ class TestArgumentErrors:
             "asympt", "asympt-n", "missing", "stats-k0",
             "offset-csv", "offset-json", "order2-F", "order2-C",
             "board-hex", "board-path-abc", "board-path-empty", "board-grid-1d", "board-torus-2x", "board-grid-3d",
+            "board-underscore", "board-space-plus", "board-fullwidth", "board-leading-zero", "board-negative",
+            "board-zero-rows",
         ],
     )
     def test_one_line_errors(self, capsys, argv, message):
-        code, out, err = run_cli(capsys, *argv.split())
+        code, out, err = run_cli(capsys, *shlex.split(argv))
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
@@ -800,9 +810,21 @@ MALFORMED = st.sampled_from(
     ["", "x", "-", "1.5", "1e3", "0x10", " 2", ",", "2,", "a,b", "path:", "grid:2", "torus:x2", "-h"]
 )
 _SIZE = st.one_of(st.sampled_from(["-1", "0", "1"]), st.integers(2, 5).map(str))
+# Board files, written afresh for each example into a directory that the
+# drawn word "$TMP" names; a None entry is a path with no file.
+BOARD_FILES = {
+    "good.json": '{"vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]}',
+    "wrong_keys.json": '{"nodes": 4, "links": [[0, 1]]}',
+    "real_count.json": '{"vertices": 2.5, "edges": []}',
+    "one_end.json": '{"vertices": 3, "edges": [[0]]}',
+    "duplicate.json": '{"vertices": 3, "edges": [[0, 1], [1, 0]]}',
+    "invalid.json": '{"vertices": 3, "edges": [[0, 1]',
+    "missing.json": None,
+}
 _BOARD = st.one_of(
     st.builds("path:{}".format, st.integers(-1, 9)),
     st.builds("{}:{}x{}".format, st.sampled_from(["grid", "torus"]), st.integers(-1, 3), st.integers(0, 3)),
+    st.sampled_from(sorted(BOARD_FILES)).map("$TMP/{}".format),
 )
 OPTION_VALUES = {
     "--k": st.sampled_from(["-1", "0", "1", "2", "3", "4"]),
@@ -859,6 +881,15 @@ SAMPLE_LINES = st.builds(
 )
 
 
+# Memory lines on each board file in each mode, which the grammar alone
+# seldom draws: one drawn line in seven is a memory line.
+FILE_LINES = st.builds(
+    lambda name, mode: ["memory", "--board", f"$TMP/{name}", "--k", "2", *mode],
+    st.sampled_from(sorted(BOARD_FILES)),
+    st.sampled_from([[], ["--mean"], ["--exhaustive", "--format", "csv"], ["--sample", "100"]]),
+)
+
+
 def _run_in_process(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -866,15 +897,23 @@ def _run_in_process(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@given(st.one_of(command_lines(), SAMPLE_LINES))
+@given(st.one_of(command_lines(), SAMPLE_LINES, FILE_LINES))
 @settings(max_examples=300, deadline=None)
 def test_command_line_grammar_fuzz(argv):
     """Every drawn command line is answered (exit 0) or refused with one
     error line (exit 2, or 3 past the oracle budget), never a traceback,
     and a rerun prints the same."""
-    code, out, err = _run_in_process(argv)
-    event(f"{argv[0]}: exit {code}")
-    assert code in (0, 2, 3), (argv, err)
-    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, err
-    assert "Traceback" not in err
-    assert _run_in_process(argv) == (code, out, err)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in BOARD_FILES.items():
+            if text is not None:
+                Path(tmp, name).write_text(text, encoding="utf-8")
+        for word in argv:
+            if word.startswith("$TMP/"):
+                event(f"board file {word[5:]}")
+        argv = [word.replace("$TMP", tmp) for word in argv]
+        code, out, err = _run_in_process(argv)
+        event(f"{argv[0]}: exit {code}")
+        assert code in (0, 2, 3), (argv, err)
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, err
+        assert "Traceback" not in err
+        assert _run_in_process(argv) == (code, out, err)

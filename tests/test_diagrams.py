@@ -112,8 +112,6 @@ def walk_words(k: int, n: int) -> list[tuple[int, ...]]:
     """The partition walk's diagrams as label words, each as often as
     the walk counts it.  The states and tail facts are the blocks
     themselves, so no two partitions share a state or a fact."""
-    if n < 2:  # one diagram, with fewer blocks than the walk places
-        return [(0,) * (k * n)]
 
     def leaf(masks, tail, hist, times):
         for last, count in tail:
@@ -196,8 +194,6 @@ def survey_by_block0(k: int, n: int) -> dict[tuple[int, ...], Counter]:
     """The survey histogram of the diagrams with each placement of block
     0, from one walk that carries block 0 next to the survey's state, or
     next to its fact when block 0 is one of the last blocks."""
-    if n < 2:  # the one diagram of n = 1
-        return {tuple(range(k * n)): Counter(survey(k, n))}
     whole = (1 << k * n) - 1
 
     def step(rest, state, m):
@@ -255,13 +251,6 @@ class TestEnumerate:
         ours = walk_words(k, n)
         assert sorted(ours) == sorted(naive_enumerate(k, n))
         assert len(ours) == total_diagrams(k, n)
-
-    def test_walk_needs_two_blocks(self):
-        with pytest.raises(ValueError, match="two or more blocks"):
-            _partitions(
-                3, 3, lambda rest, masks, m: masks, (), lambda free, a, fact: fact, (),
-                lambda masks, tail, hist, times: None,
-            )
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -33,6 +33,11 @@ from kchord.counting import component_row, mean_short_chords, short_chord_row, t
 from kchord.memory_game import _mask_components, connected_k_sets, connected_k_subgraphs
 
 
+# Size words of a board spec: a plain number, or two characters that may
+# be digits, a fullwidth digit, a sign, an underscore or a space.
+SPEC_SIZE = st.one_of(st.integers(0, 30).map(str), st.text("0123456789\uff11_+- ", max_size=2))
+
+
 def loop_histogram(board: Board, k: int, samples: int, seed: int, chunk_size: int) -> dict:
     """Per-block reference for sample_placements: the same random stream,
     each block tested as a Python-int bitmask against the connected sets."""
@@ -144,6 +149,30 @@ class TestBoards:
             board_from_spec("prism:3")
         with pytest.raises(ValueError):
             board_from_spec("grid:3")
+
+    @given(
+        st.one_of(
+            st.builds("path:{}".format, st.integers(0, 30)),
+            st.builds("{}:{}x{}".format, st.sampled_from(["grid", "torus"]), st.integers(1, 9), st.integers(1, 9)),
+            st.tuples(
+                st.sampled_from(["path:", "grid:", "torus:", "hex:", "path", "Grid:", ""]),
+                SPEC_SIZE,
+                st.sampled_from(["", "x", "X", "x0"]),
+                SPEC_SIZE,
+            ).map("".join),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_spec_is_its_label(self, spec):
+        """A spec is accepted only as the label of the board it names."""
+        try:
+            board = board_from_spec(spec)
+        except ValueError as exc:
+            event("rejected")
+            assert str(exc).startswith(f"unknown board spec {spec!r}:")
+        else:
+            event("accepted")
+            assert board.label == spec
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -324,9 +353,10 @@ class TestSampling:
         z = 3.090232  # the 0.999 quantile of the standard normal
         assert x2 < df * (1 - 2 / (9 * df) + z * (2 / (9 * df)) ** 0.5) ** 3
 
-    def test_large_board_falls_back_without_lookup(self):
-        # a board past the former 22-vertex bitmask cutoff samples correctly
+    def test_path26_base_v_table_mean(self):
+        # 26^2 keys fit the base-V table, so path:26 samples by table lookup
         board = path_board(26)
+        assert key_kind(board, 2) == "base-V"
         r = sample_placements(board, 2, 2000, seed=1)
         assert sum(r.histogram.values()) == 2000
         exact = float(mean_short_chords(2, 13))
