@@ -31,6 +31,7 @@ def poisson_lambda(k: int, n: int) -> Fraction:
     >>> poisson_lambda(3, 9)
     Fraction(2, 27)
     """
+    counting._check_sizes(k)
     if n < 1:
         raise ValueError("need n >= 1")
     return Fraction(factorial(k), k ** (k - 1) * n ** (k - 2))
@@ -210,8 +211,9 @@ def _report(
     n_values = tuple(n_values)
     if not n_values:
         raise ValueError("need at least one n")
-    if k < 2 or min(n_values) < 1:
-        raise ValueError("need k >= 2 and every n >= 1")
+    counting._check_sizes(k)
+    if min(n_values) < 1:
+        raise ValueError(f"every n must be at least 1, got {min(n_values)}")
     exact, lower, upper = zip(*map(point, n_values))
     # monotone: each error interval lies strictly below the one before it
     monotone = all(hi < lo for hi, lo in zip(upper[1:], lower))
@@ -257,8 +259,7 @@ def nc_mean_variance(k: int, n: int) -> tuple[Fraction, Fraction]:
     >>> nc_mean_variance(2, 8)
     (Fraction(4, 1), Fraction(1, 1))
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
+    counting._check_sizes(k, n)
     ratio = Fraction(k - 1, k)
     mean = ratio ** (k - 1) * n
     var = (

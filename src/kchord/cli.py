@@ -7,8 +7,9 @@ route), ``verify`` (cross-route and oracle agreement), ``series``
 (convergence reports).
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid
-configuration, 3 enumeration budget exceeded.  Identical configuration
-produces byte-identical output.
+configuration, 3 enumeration budget exceeded, 4 internal check failed
+(a program fault).  Identical configuration produces byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -119,8 +120,7 @@ def _trim(row) -> tuple[int, ...]:
 def build_rows(stat: str, k: int, n_max: int, route: str, budget: int | None = None):
     """Rows 0..n_max of one statistic by one route of ``ROUTES``; component
     rows drop trailing zeros, as the published triangles do."""
-    if k < 2 or n_max < 0:
-        raise ValueError("need k >= 2 and n_max >= 0")
+    counting._check_sizes(k, n_max, "n_max")
     oracle_budget(budget)  # a bad budget is an error on every route
     route = ROUTE_ALIASES.get(route, route)
     if route not in ROUTES[stat]:
@@ -265,6 +265,8 @@ def _cmd_memory(args) -> int:
         raise ValueError("--format csv needs --exhaustive")
     if args.sample is not None and args.format not in (None, "json"):
         raise ValueError(f"--sample writes json; --format {args.format} does not apply")
+    if args.exhaustive and args.format == "text":
+        raise ValueError("--exhaustive writes csv or json; --format text does not apply")
     oracle_budget(args.budget)  # a bad budget is an error in every mode
     board = (
         memory_game.board_from_spec(args.board)
@@ -315,11 +317,15 @@ def _cmd_memory(args) -> int:
 
 
 def _board_from_file(path: str) -> memory_game.Board:
+    """The board of a JSON file; every error in its content names the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict) or not {"vertices", "edges"} <= data.keys():
-        raise ValueError(f"{path}: a board file is a JSON object with 'vertices' and 'edges'")
-    return memory_game.board_from_edges(data["vertices"], data["edges"], label=path)
+        try:
+            data = json.load(handle)
+            if not isinstance(data, dict) or not {"vertices", "edges"} <= data.keys():
+                raise ValueError("a board file is a JSON object with 'vertices' and 'edges'")
+            return memory_game.board_from_edges(data["vertices"], data["edges"], label=path)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_asympt(args) -> int:
@@ -533,7 +539,7 @@ def _table_arguments(p) -> None:
 def _verify_arguments(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=None)
+    p.add_argument("--m-max", type=nonnegative_int, default=None)
     p.add_argument("--jobs", type=positive_int, default=1, help=JOBS_HELP)
     p.add_argument("--budget", type=int, default=None)
 

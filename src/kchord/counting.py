@@ -20,6 +20,15 @@ class SelfCheckError(RuntimeError):
     """An internal consistency check failed: a program fault, not an input error."""
 
 
+def _check_sizes(k: int, n: int = 0, name: str = "n") -> None:
+    """The size rule of every function that takes a block size: k >= 2,
+    and the count called ``name`` nonnegative."""
+    if k < 2:
+        raise ValueError(f"block size must be at least 2, got {k}")
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n}")
+
+
 @lru_cache(maxsize=None)
 def _fact(m: int) -> int:
     return factorial(m)
@@ -34,8 +43,7 @@ def total_diagrams(k: int, n: int) -> int:
     >>> total_diagrams(2, 3)
     15
     """
-    if k < 2 or n < 0:
-        raise ValueError("need k >= 2 and n >= 0")
+    _check_sizes(k, n)
     return _fact(k * n) // (_fact(k) ** n * _fact(n))
 
 
@@ -107,8 +115,7 @@ def short_chord_row(k: int, n: int) -> list[int]:
     >>> short_chord_row(3, 4)
     [12861, 2296, 226, 16, 1]
     """
-    if k < 2 or n < 0:
-        raise ValueError("need k >= 2 and n >= 0")
+    _check_sizes(k, n)
     kfact = factorial(k)
     kn = k * n
     row = [0] * n + [1]
@@ -135,6 +142,7 @@ def count_zero_short(k: int, n: int) -> int:
     >>> count_zero_short(3, 1)
     0
     """
+    _check_sizes(k, n)
     total = 0
     kn = k * n
     for j in range(n + 1):
@@ -153,6 +161,7 @@ def mean_short_chords(k: int, n: int) -> Fraction:
     >>> mean_short_chords(2, 17)
     Fraction(1, 1)
     """
+    _check_sizes(k)
     if n < 1:
         raise ValueError("need n >= 1")
     return Fraction(n * (k * n - (k - 1)), comb(k * n, k))
@@ -168,8 +177,7 @@ def component_row(k: int, n: int) -> tuple[int, ...]:
         c(n, q) = sum_{l>=q} (-1)^(l-q) C(l, q) S(l),
         S(l) = sum_r (-1)^r N(k, n-l-r) C(k(n-l-r)+1, l-r) C(k(n-l-r)+r, r).
     """
-    if k < 2 or n < 0:
-        raise ValueError("need k >= 2 and n >= 0")
+    _check_sizes(k, n)
     inner = [0] * (n + 1)
     for j in range(n + 1):  # l + r = n - j; the r-th term has C(a, n-j-2r) C(a-1+r, r)
         a = k * j + 1

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
+from .counting import _check_sizes, total_diagrams
+
 DEFAULT_ORACLE_BUDGET = 10**7
 
 
@@ -78,10 +80,7 @@ class Diagram:
     word: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"block size must be at least 2, got {self.k}")
-        if self.n < 0:
-            raise ValueError(f"block count must be nonnegative, got {self.n}")
+        _check_sizes(self.k, self.n, "block count")
         if len(self.word) != self.k * self.n:
             raise ValueError(
                 f"word length {len(self.word)} != k*n = {self.k * self.n}"
@@ -309,8 +308,7 @@ def noncrossing_survey(k: int, m_max: int, budget: int | None = None) -> list[tu
     """
     from .tables import fuss_catalan
 
-    if k < 2 or m_max < 0:
-        raise ValueError("need k >= 2 and m_max >= 0")
+    _check_sizes(k, m_max, "m_max")
     oracle_budget(budget, fuss_catalan(k, m_max))
     rows = [[0] * (m + 1) for m in range(m_max + 1)]
     for masks in _noncrossing_levels(k, m_max):
@@ -520,10 +518,7 @@ def survey(k: int, n: int, budget: int | None = None) -> dict[tuple[int, int, in
     This is the oracle that every counting formula in the package is
     tested against.
     """
-    from .counting import total_diagrams
-
-    if k < 2 or n < 0:
-        raise ValueError("need k >= 2 and n >= 0")
+    _check_sizes(k, n)
     oracle_budget(budget, total_diagrams(k, n))
     return _partitions(k * n, k, _survey_step, _SURVEY_ROOT, _survey_extend, _SURVEY_EMPTY, _survey_leaf)
 

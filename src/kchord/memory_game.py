@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .counting import SelfCheckError, total_diagrams
+from .counting import SelfCheckError, _check_sizes, total_diagrams
 from .diagrams import _integer, _partitions, oracle_budget
 
 SAMPLE_CHUNK = 1 << 14
@@ -186,8 +186,7 @@ def mean_polyominoes(board: Board, k: int) -> Fraction:
 
 
 def _resolve_n(board: Board, k: int) -> int:
-    if k < 2:
-        raise ValueError("need k >= 2")
+    _check_sizes(k)
     blocks, rem = divmod(board.vertex_count, k)
     if rem:
         raise ValueError(f"{board.vertex_count} vertices not divisible by k={k}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .counting import count_zero_short, total_diagrams
+from .counting import _check_sizes, count_zero_short, total_diagrams
 
 
 class BivariateSeries:
@@ -144,11 +144,6 @@ class BivariateSeries:
         )
 
 
-def _check_k(k: int) -> None:
-    if k < 2:
-        raise ValueError(f"block size must be at least 2, got {k}")
-
-
 def _rational(rows, numer, denom, order1: int, order2: int) -> list[list[int]]:
     """The series with coefficient rows ``rows`` times N / (1 + D),
     truncated at (order1, order2).
@@ -184,7 +179,7 @@ def L_series(k: int, order1: int, order2: int) -> BivariateSeries:
     U-runs of maximal height; it equals subpath_choices(k, s, j) after
     the change of viewpoint from paths back to chords.
     """
-    _check_k(k)
+    _check_sizes(k)
     rows = _rational([[1]], [(0, 0, 1)], [(0, 1, -1), (k, k, -1)], order1, order2)
     return BivariateSeries(order1, order2, rows, ("x", "y"))
 
@@ -199,7 +194,7 @@ def F_series(k: int, n_max: int) -> BivariateSeries:
     Each denominator expands as sum_i C(kj+i, i) (-u)^i with u = w(1-z),
     so the powers of -u are computed once and shared by every j.
     """
-    _check_k(k)
+    _check_sizes(k)
     # 1 / (1 + u) = sum_i (-u)^i, and (-u)^i = w^i (z-1)^i is its row i.
     power_rows = _rational([[1]], [(0, 0, 1)], [(1, 0, 1), (1, 1, -1)], n_max, n_max)
     out = [[0] * (n_max + 1) for _ in range(n_max + 1)]
@@ -225,7 +220,7 @@ def C_series(k: int, n_max: int) -> BivariateSeries:
     numerator and a division by the denominator; the term is multiplied
     by y^j, so those steps only need y-degree n_max - j - 1.
     """
-    _check_k(k)
+    _check_sizes(k)
     numer, denom = [(0, 0, 1), (1, 0, -1), (1, 1, 1)], [(2, 0, -1), (2, 1, 1)]
     power = _rational([[1]], numer, denom, n_max, n_max)
     out = [[0] * (n_max + 1) for _ in range(n_max + 1)]
@@ -260,7 +255,7 @@ def T_series(k: int, order1: int, order2: int) -> BivariateSeries:
     that the step computes anyway.  Every step works at its own
     truncation; since s <= m, the y-order never needs to exceed it.
     """
-    _check_k(k)
+    _check_sizes(k)
     names = ("x", "y")
     t = r = BivariateSeries.one(0, 0, names)
     exact = 1  # t and r are exact below x^exact

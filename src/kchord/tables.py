@@ -18,7 +18,7 @@ from itertools import accumulate, chain
 from math import comb
 from operator import add, mul
 
-from .counting import SelfCheckError, inverse_binomial_transform
+from .counting import SelfCheckError, _check_sizes, inverse_binomial_transform
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,6 @@ class CountTable:
     rows: tuple[tuple[int, ...], ...]
 
 
-def _check_table(k: int, n_max: int) -> None:
-    if k < 2 or n_max < 0:
-        raise ValueError("need k >= 2 and a nonnegative largest row")
-
-
 def d_table_kp1(k: int, n_max: int) -> CountTable:
     """Short-chord table from the two-term ratio recurrence.
 
@@ -44,7 +39,7 @@ def d_table_kp1(k: int, n_max: int) -> CountTable:
     at s = 0, so that column is the complement of the rest of the row in
     the diagram total N(k, n) = N(k, n-1) C(kn-1, k-1).
     """
-    _check_table(k, n_max)
+    _check_sizes(k, n_max, "n_max")
     rows: list[tuple[int, ...]] = [(1,)]
     total = 1
     for n in range(1, n_max + 1):
@@ -123,7 +118,7 @@ def d_table_kp2(k: int, n_max: int) -> CountTable:
     p-th list holds F_p only at the bins some row reads,
     b = n + (k-1)u with p+u <= n < n_max: one run of b per u.
     """
-    _check_table(k, n_max)
+    _check_sizes(k, n_max, "n_max")
     size = k * n_max
     middle = [comb(b + k - 1, k - 1) - 1 for b in range(size)]
     weights = []
@@ -175,7 +170,7 @@ def noncrossing_table(k: int, m_max: int) -> CountTable:
     m P_m(1) = m FC(k, m+1), and the slot sum and the bits above slot m
     are both checked.
     """
-    _check_table(k, m_max)
+    _check_sizes(k, m_max, "m_max")
     width = _slot_width(k, m_max)
     mask = (1 << width) - 1
     rows: list[list[int]] = [[1]]
@@ -221,8 +216,7 @@ def noncrossing_row(k: int, m: int) -> tuple[int, ...]:
     >>> noncrossing_row(3, 4)
     (0, 8, 30, 16, 1)
     """
-    if k < 2 or m < 0:
-        raise ValueError("need k >= 2 and m >= 0")
+    _check_sizes(k, m, "m")
     if m == 0:
         return (1,)
     marked = [comb(m, i) * comb((k - 1) * (m - i) + m, m - 1) for i in range(m + 1)]
@@ -238,6 +232,5 @@ def fuss_catalan(k: int, m: int) -> int:
     >>> [fuss_catalan(3, m) for m in range(6)]
     [1, 1, 3, 12, 55, 273]
     """
-    if k < 2 or m < 0:
-        raise ValueError("need k >= 2 and m >= 0")
+    _check_sizes(k, m, "m")
     return comb(k * m, m) // ((k - 1) * m + 1)

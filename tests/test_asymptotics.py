@@ -188,12 +188,20 @@ class TestPoissonReport:
         assert not report([10, 10]).monotone
         assert not report([20, 10]).monotone
 
-    @pytest.mark.parametrize("k, n_values", [(1, [3]), (0, [5]), (2, [0, 5]), (3, [-1])])
-    def test_rejects_bad_sizes(self, k, n_values):
+    @pytest.mark.parametrize(
+        "k, n_values, message",
+        [
+            pytest.param(1, [3], "block size must be at least 2, got 1", id="1-n_values0"),
+            pytest.param(0, [5], "block size must be at least 2, got 0", id="0-n_values1"),
+            pytest.param(2, [0, 5], "every n must be at least 1, got 0", id="2-n_values2"),
+            pytest.param(3, [-1], "every n must be at least 1, got -1", id="3-n_values3"),
+        ],
+    )
+    def test_rejects_bad_sizes(self, k, n_values, message):
         for kind in ("short_chords", "components"):
-            with pytest.raises(ValueError, match="k >= 2"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 poisson_convergence_report(k, n_values, kind)
-        with pytest.raises(ValueError, match="k >= 2"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             nc_mean_report(k, n_values)
 
     def test_builds_no_table(self, monkeypatch):

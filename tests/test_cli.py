@@ -529,6 +529,25 @@ class TestMemory:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"vertices": 4, "edges": [[0, 1],',
+            '{"vertices": 4, "edges": [[0, 1], [1, 0]]}',
+            '{"vertices": 4, "edges": [[0, 9]]}',
+            '{"vertices": 4, "edges": [[0]]}',
+            '{"vertices": 2.5, "edges": []}',
+        ],
+        ids=["invalid-json", "duplicate-edge", "out-of-range-edge", "one-element-edge", "non-integer-vertices"],
+    )
+    def test_board_file_error_names_the_file(self, capsys, tmp_path, content):
+        spec = tmp_path / "board.json"
+        spec.write_text(content)
+        code, out, err = run_cli(capsys, "memory", "--board", str(spec), "--k", "2", "--mean")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {spec}: ")
+
     def test_sample_board_too_large(self, capsys):
         code, out, err = run_cli(
             capsys, "memory", "--board", "path:128", "--k", "64", "--sample", "10"
@@ -553,6 +572,7 @@ class TestMemory:
             ("--sample 10 --format csv", "--format csv needs --exhaustive"),
             ("--format csv", "--format csv needs --exhaustive"),
             ("--sample 10 --format text", "--sample writes json; --format text does not apply"),
+            ("--exhaustive --format text", "--exhaustive writes csv or json; --format text does not apply"),
         ],
     )
     def test_rejects_conflicting_options(self, capsys, options, message):
@@ -629,14 +649,21 @@ class TestAsympt:
         assert out == (FIXTURES / "asympt" / fixture).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(
-        "argv",
-        ["--k 1 --n 3", "--k 1 --kind nc-short --n 3", "--k 3 --kind nc-short --n 0"],
+        "argv, message",
+        [
+            pytest.param(argv, message, id=argv)
+            for argv, message in (
+                ("--k 1 --n 3", "block size must be at least 2, got 1"),
+                ("--k 1 --kind nc-short --n 3", "block size must be at least 2, got 1"),
+                ("--k 3 --kind nc-short --n 0", "every n must be at least 1, got 0"),
+            )
+        ],
     )
-    def test_rejects_bad_sizes(self, capsys, argv):
+    def test_rejects_bad_sizes(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "asympt", *argv.split())
         assert code == 2
         assert out == ""
-        assert err == "error: need k >= 2 and every n >= 1\n"
+        assert err == f"error: {message}\n"
 
     def test_failed_self_check_exits_4(self, capsys, monkeypatch):
         # The Lagrange row is a transform divided by m; one tampered term
@@ -674,6 +701,7 @@ class TestArgumentErrors:
             ("stats --word 0,0 --k x", "argument --k: invalid int value: 'x'"),
             ("table --k 2 --stat short --n-max x", "argument --n-max: invalid int value: 'x'"),
             ("verify --k 2 --n-max 3 --jobs 0", "argument --jobs: must be at least 1, got 0"),
+            ("verify --k 2 --n-max 3 --m-max -1", "argument --m-max: must be at least 0, got -1"),
             ("series --k 3 --gf T --order x", "argument --order: invalid int value: 'x'"),
             ("oeis --seq A062993 --k x", "argument --k: invalid int value: 'x'"),
             ("memory --board path:4 --k 2 --seed x", "argument --seed: invalid int value: 'x'"),
@@ -699,7 +727,7 @@ class TestArgumentErrors:
             ),
         ],
         ids=[
-            "stats", "table", "verify", "series", "oeis", "memory", "memory-seed", "memory-sample",
+            "stats", "table", "verify", "verify-m-max", "series", "oeis", "memory", "memory-seed", "memory-sample",
             "asympt", "asympt-n", "missing", "stats-k0",
             "offset-csv", "offset-json", "order2-F", "order2-C",
             "board-hex", "board-path-abc", "board-path-empty", "board-grid-1d", "board-torus-2x", "board-grid-3d",

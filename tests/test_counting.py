@@ -16,7 +16,30 @@ from conftest import (
     naive_enumerate,
     naive_stats,
 )
-from kchord import count_zero_short, mean_short_chords, total_diagrams
+from kchord import (
+    C_series,
+    Diagram,
+    F_series,
+    L_series,
+    T_series,
+    count_zero_short,
+    d_table_kp1,
+    exhaustive_distribution,
+    fuss_catalan,
+    mean_polyominoes,
+    mean_short_chords,
+    nc_mean_report,
+    nc_mean_variance,
+    noncrossing_row,
+    noncrossing_table,
+    path_board,
+    poisson_convergence_report,
+    poisson_lambda,
+    sample_placements,
+    survey,
+    total_diagrams,
+)
+from kchord.cli import build_rows
 from kchord.counting import (
     component_row,
     inverse_binomial_transform,
@@ -25,6 +48,7 @@ from kchord.counting import (
     subpath_choices,
     triple_count_closed_k2,
 )
+from kchord.diagrams import noncrossing_survey
 from kchord.tables import d_table_kp2
 
 
@@ -260,3 +284,49 @@ class TestTripleClosedForm:
     def test_zero_outside_support(self):
         assert triple_count_closed_k2(3, 0, 2) == 0
         assert triple_count_closed_k2(3, 3, 2) == 0
+
+
+# Every function that takes a block size k, as a call at (k, count), with
+# the name its size error gives the count, or None when k is its only size.
+SIZE_CHECKED = {
+    "total_diagrams": (total_diagrams, "n"),
+    "short_chord_row": (short_chord_row, "n"),
+    "component_row": (component_row, "n"),
+    "count_zero_short": (count_zero_short, "n"),
+    "mean_short_chords": (lambda k, _: mean_short_chords(k, 3), None),
+    "d_table_kp1": (d_table_kp1, "n_max"),
+    "d_table_kp2": (d_table_kp2, "n_max"),
+    "noncrossing_table": (noncrossing_table, "m_max"),
+    "noncrossing_row": (noncrossing_row, "m"),
+    "fuss_catalan": (fuss_catalan, "m"),
+    "F_series": (lambda k, _: F_series(k, 3), None),
+    "C_series": (lambda k, _: C_series(k, 3), None),
+    "L_series": (lambda k, _: L_series(k, 3, 3), None),
+    "T_series": (lambda k, _: T_series(k, 3, 3), None),
+    "Diagram": (lambda k, n: Diagram(k, n, ()), "block count"),
+    "survey": (survey, "n"),
+    "noncrossing_survey": (noncrossing_survey, "m_max"),
+    "mean_polyominoes": (lambda k, _: mean_polyominoes(path_board(6), k), None),
+    "exhaustive_distribution": (lambda k, _: exhaustive_distribution(path_board(6), k), None),
+    "sample_placements": (lambda k, _: sample_placements(path_board(6), k, 10, 0), None),
+    "build_rows": (lambda k, n: build_rows("short", k, n, "kp2"), "n_max"),
+    "poisson_lambda": (lambda k, _: poisson_lambda(k, 3), None),
+    "nc_mean_variance": (nc_mean_variance, "n"),
+    "poisson_convergence_report": (lambda k, _: poisson_convergence_report(k, [3]), None),
+    "nc_mean_report": (lambda k, _: nc_mean_report(k, [3]), None),
+}
+
+
+class TestSizeCheck:
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    @pytest.mark.parametrize("function", SIZE_CHECKED)
+    def test_block_size(self, function, k):
+        call, _ = SIZE_CHECKED[function]
+        with pytest.raises(ValueError, match=f"^block size must be at least 2, got {k}$"):
+            call(k, 2)
+
+    @pytest.mark.parametrize("function", [f for f, (_, name) in SIZE_CHECKED.items() if name])
+    def test_negative_count(self, function):
+        call, name = SIZE_CHECKED[function]
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$"):
+            call(2, -1)

@@ -268,9 +268,17 @@ class TestFussCatalan:
     def test_closed_form(self, k, m):
         assert fuss_catalan(k, m) == comb(k * m, m) // ((k - 1) * m + 1)
 
-    @pytest.mark.parametrize("k, m", [(1, 3), (0, 3), (-2, 3), (3, -1)])
-    def test_rejects_bad_arguments(self, k, m):
-        with pytest.raises(ValueError, match="need k >= 2 and m >= 0"):
+    @pytest.mark.parametrize(
+        "k, m, message",
+        [
+            pytest.param(1, 3, "block size must be at least 2, got 1", id="1-3"),
+            pytest.param(0, 3, "block size must be at least 2, got 0", id="0-3"),
+            pytest.param(-2, 3, "block size must be at least 2, got -2", id="-2-3"),
+            pytest.param(3, -1, "m must be nonnegative, got -1", id="3--1"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, k, m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             fuss_catalan(k, m)
 
     def test_recursion(self):
