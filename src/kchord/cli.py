@@ -18,8 +18,9 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
-from itertools import zip_longest
+from itertools import count, islice, zip_longest
 
 from . import asymptotics, counting, diagrams, memory_game, series, tables
 from .diagrams import (
@@ -58,19 +59,23 @@ def _oracle_rows(coord: str, k: int, n_max: int, budget: int | None):
     return [_fold(diagrams.survey(k, n, budget=budget), n, coord) for n in range(n_max + 1)]
 
 
-# stat -> route -> rows(k, n_max, budget): rows 0..n_max (m_max for
-# nc-short).  Each route is its own derivation.  Builders are looked up
-# when a route runs, so a replaced module function is the one called.
+# stat -> route -> rows(k, n_max, budget): an iterable of rows 0..n_max
+# (m_max for nc-short).  Each route is its own derivation.  The closed,
+# kp1 and kp2 routes yield each row as it is built; the others build every
+# row first (the recurrence reads all earlier rows, and the oracle refuses
+# its budget before any output).
+# Builders are looked up when a route runs, so a replaced module
+# function is the one called.
 ROUTES = {
     "short": {
-        "closed": lambda k, n_max, *_: [tuple(counting.short_chord_row(k, n)) for n in range(n_max + 1)],
-        "kp1": lambda k, n_max, *_: list(tables.d_table_kp1(k, n_max).rows),
-        "kp2": lambda k, n_max, *_: list(tables.d_table_kp2(k, n_max).rows),
+        "closed": lambda k, n_max, *_: (tuple(counting.short_chord_row(k, n)) for n in range(n_max + 1)),
+        "kp1": lambda k, n_max, *_: tables.kp1_rows(k, n_max),
+        "kp2": lambda k, n_max, *_: tables.kp2_rows(k, n_max),
         "series": lambda k, n_max, *_: _coefficient_rows(series.F_series(k, n_max), n_max),
         "oracle": lambda *args: _oracle_rows("s", *args),
     },
     "components": {
-        "closed": lambda k, n_max, *_: [counting.component_row(k, n) for n in range(n_max + 1)],
+        "closed": lambda k, n_max, *_: (counting.component_row(k, n) for n in range(n_max + 1)),
         "series": lambda k, n_max, *_: _coefficient_rows(series.C_series(k, n_max), n_max),
         "oracle": lambda *args: _oracle_rows("q", *args),
     },
@@ -100,14 +105,35 @@ OEIS_SEQUENCES = {
 
 @contextlib.contextmanager
 def _emit(out: str | None):
-    """The ``write`` of the destination: stdout, or the ``--out`` file,
-    created only here, once the output is ready.  Tables are written a
-    row at a time, so only their rows, never their whole text, are held."""
+    """The ``write`` of the destination: stdout, or the ``--out`` file.
+
+    Commands check their input and budget before they enter here, so exit
+    2 and 3 write nothing.  Tables are written a row at a time as their
+    routes yield them, so only one row is held; a check that fails partway
+    (exit 4) can follow partial output on stdout.  An ``--out`` file is
+    written under a temporary name in its directory and moved into place
+    only when the command succeeds: a failed run leaves neither a new
+    file nor a changed old one.  A device or pipe is written in place."""
     if out in (None, "-"):
         yield sys.stdout.write
-    else:
+        return
+    if os.path.exists(out) and not os.path.isfile(out):
         with open(out, "w", encoding="utf-8", newline="") as handle:
             yield handle.write
+        return
+    target = os.path.realpath(out)  # through a symbolic link, as a plain open writes
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        handle = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as exc:  # named as the user wrote it, as a plain open names it
+        raise OSError(exc.errno, exc.strerror, out) from None
+    try:
+        with handle:
+            yield handle.write
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _trim(row) -> tuple[int, ...]:
@@ -118,8 +144,10 @@ def _trim(row) -> tuple[int, ...]:
 
 
 def build_rows(stat: str, k: int, n_max: int, route: str, budget: int | None = None):
-    """Rows 0..n_max of one statistic by one route of ``ROUTES``; component
-    rows drop trailing zeros, as the published triangles do."""
+    """Rows 0..n_max of one statistic by one route of ``ROUTES``, as an
+    iterable that streamed routes fill row by row; component rows drop
+    trailing zeros, as the published triangles do.  Sizes, route and
+    budget are checked here, before any row is built."""
     counting._check_sizes(k, n_max, "n_max")
     oracle_budget(budget)  # a bad budget is an error on every route
     route = ROUTE_ALIASES.get(route, route)
@@ -129,7 +157,7 @@ def build_rows(stat: str, k: int, n_max: int, route: str, budget: int | None = N
             f"choose from {', '.join(ROUTES[stat])}"
         )
     rows = ROUTES[stat][route](k, n_max, budget)
-    return [_trim(row) for row in rows] if stat == "components" else rows
+    return map(_trim, rows) if stat == "components" else rows
 
 
 def rows_to_csv(rows, write) -> None:
@@ -152,14 +180,15 @@ def rows_to_json(rows, k: int, stat: str, write) -> None:
         else:
             write(f"{separator}    []")
         separator = ",\n"
-    write("\n  ]\n}\n" if rows else "]\n}\n")
+    write("]\n}\n" if separator == "\n" else "\n  ]\n}\n")  # "[]" when there is no row
 
 
-def linearize_rows(stat: str, rows) -> list[int]:
+def linearize_rows(stat: str, rows):
     """Row-by-row reading of a ``build_rows`` table, as in the published
-    triangles: non-crossing rows start at s = 1; row 0 is never read."""
+    triangles, as an iterator: non-crossing rows start at s = 1; row 0 is
+    never read."""
     skip = 1 if stat == "nc-short" else 0
-    return [value for row in rows[1:] for value in row[skip:]]
+    return (value for row in islice(rows, 1, None) for value in row[skip:])
 
 
 def rows_to_bfile(values, offset: int, write) -> None:
@@ -250,13 +279,17 @@ def _cmd_oeis(args) -> int:
         if args.k is not None and args.k != k:
             raise ValueError(f"{args.seq} is the k = {k} sequence; --k {args.k} does not match")
         offset = args.offset if args.offset is not None else 1
-        values: list[int] = []
-        n_max = 1
-        while len(values) < args.terms:
-            values = linearize_rows(stat, build_rows(stat, k, n_max, DEFAULT_ROUTE[stat]))
-            n_max *= 2
+        # Row n >= 1 gives n + 1 short-chord values, n non-crossing ones and
+        # at least one component value.  The kp2 weights and the nc-short
+        # recurrence are sized by the rows asked for, so those two are asked
+        # for the fewest rows that hold --terms values.  The component rows
+        # are streamed: none past the last value read is built.
+        n_max = args.terms
+        if stat != "components":
+            n_max = next(n for n in count() if n * (n + 1) // 2 >= args.terms)
+        values = islice(linearize_rows(stat, build_rows(stat, k, n_max, DEFAULT_ROUTE[stat])), args.terms)
     with _emit(args.out) as write:
-        rows_to_bfile(values[: args.terms], offset, write)
+        rows_to_bfile(values, offset, write)
     return 0
 
 
@@ -465,7 +498,7 @@ def run_verify(
 
     @functools.cache
     def rows(stat: str, route: str) -> list:
-        return build_rows(stat, k, m_max if stat == "nc-short" else n_max, route, budget)
+        return list(build_rows(stat, k, m_max if stat == "nc-short" else n_max, route, budget))
 
     for check in VERIFY_CHECKS:
         line = check(rows, k, n_max, m_max, budget)
@@ -547,8 +580,8 @@ def _verify_arguments(p) -> None:
 def _series_arguments(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--gf", choices=("F", "C", "T", "L"), required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--order2", type=int, default=None)
+    p.add_argument("--order", type=nonnegative_int, required=True)
+    p.add_argument("--order2", type=nonnegative_int, default=None)
 
 
 def _oeis_arguments(p) -> None:

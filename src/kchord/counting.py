@@ -167,7 +167,6 @@ def mean_short_chords(k: int, n: int) -> Fraction:
     return Fraction(n * (k * n - (k - 1)), comb(k * n, k))
 
 
-@lru_cache(maxsize=None)
 def component_row(k: int, n: int) -> tuple[int, ...]:
     """Counts of diagrams by number of components, for q = 0..n.
 

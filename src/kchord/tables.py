@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import accumulate, chain
 from math import comb
 from operator import add, mul
+from typing import Iterator
 
 from .counting import SelfCheckError, _check_sizes, inverse_binomial_transform
 
@@ -30,20 +31,26 @@ class CountTable:
     rows: tuple[tuple[int, ...], ...]
 
 
-def d_table_kp1(k: int, n_max: int) -> CountTable:
-    """Short-chord table from the two-term ratio recurrence.
+def kp1_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..n_max of the short-chord table from the two-term ratio
+    recurrence, yielded one at a time; only the previous row is kept.
 
         s * d(n, s) = (kn - s(k-1)) d(n-1, s-1) + s(k-1) d(n-1, s)
 
     Every entry with s >= 1 divides out exactly.  The relation is vacuous
     at s = 0, so that column is the complement of the rest of the row in
-    the diagram total N(k, n) = N(k, n-1) C(kn-1, k-1).
+    the diagram total N(k, n) = N(k, n-1) C(kn-1, k-1).  The sizes are
+    checked by the call, before the first row is asked for.
     """
     _check_sizes(k, n_max, "n_max")
-    rows: list[tuple[int, ...]] = [(1,)]
+    return _kp1_rows(k, n_max)
+
+
+def _kp1_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
+    prev: tuple[int, ...] = (1,)
+    yield prev
     total = 1
     for n in range(1, n_max + 1):
-        prev = rows[n - 1]
         total *= comb(k * n - 1, k - 1)
         row = [0]
         for s in range(1, n + 1):
@@ -54,8 +61,13 @@ def d_table_kp1(k: int, n_max: int) -> CountTable:
                 raise SelfCheckError(f"ratio recurrence not integral at n={n}, s={s}")
             row.append(num // s)
         row[0] = total - sum(row)
-        rows.append(tuple(row))
-    return CountTable(k, "short_chords", tuple(rows))
+        prev = tuple(row)
+        yield prev
+
+
+def d_table_kp1(k: int, n_max: int) -> CountTable:
+    """Short-chord table of ``kp1_rows``."""
+    return CountTable(k, "short_chords", tuple(kp1_rows(k, n_max)))
 
 
 @lru_cache(maxsize=None)
@@ -102,8 +114,9 @@ def _fills(k: int, p: int, lo: int, hi: int) -> list[int]:
     return out
 
 
-def d_table_kp2(k: int, n_max: int) -> CountTable:
-    """Short-chord table from the append recurrence, grown from d(0,0)=1.
+def kp2_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..n_max of the short-chord table from the append recurrence,
+    grown from d(0,0)=1 and yielded one at a time.
 
         d(n+1, s) = d(n, s-1)
                   + d(n, s) * (C(kn - (k-1)s + k-1, k-1) - 1)
@@ -116,9 +129,15 @@ def d_table_kp2(k: int, n_max: int) -> CountTable:
     is listed once per table by b, and row n reads b = kn, kn-(k-1), ...
     as one stride-(k-1) slice.  The
     p-th list holds F_p only at the bins some row reads,
-    b = n + (k-1)u with p+u <= n < n_max: one run of b per u.
+    b = n + (k-1)u with p+u <= n < n_max: one run of b per u.  Only these
+    lists and the previous row are kept; the sizes are checked by the
+    call, before the first row is asked for.
     """
     _check_sizes(k, n_max, "n_max")
+    return _kp2_rows(k, n_max)
+
+
+def _kp2_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
     size = k * n_max
     middle = [comb(b + k - 1, k - 1) - 1 for b in range(size)]
     weights = []
@@ -130,16 +149,21 @@ def d_table_kp2(k: int, n_max: int) -> CountTable:
             fills[lo:hi] = _fills(k, p, lo, hi)
             done = hi
         weights.append((fills, [comb(s + p, p) for s in range(n_max)]))
-    rows: list[tuple[int, ...]] = [(1,)]
+    prev: tuple[int, ...] = (1,)
+    yield prev
     for n in range(n_max):
-        prev = rows[n]
         kn = k * n
         acc = list(map(mul, prev, middle[kn::1 - k]))
         for p, (fills, runs) in enumerate(weights[:n], 1):
             terms = map(mul, map(mul, runs, fills[kn - (k - 1) * p :: 1 - k]), prev[p:])
             acc[: n + 1 - p] = map(add, acc, terms)
-        rows.append(tuple(map(add, chain((0,), prev), chain(acc, (0,)))))
-    return CountTable(k, "short_chords", tuple(rows))
+        prev = tuple(map(add, chain((0,), prev), chain(acc, (0,))))
+        yield prev
+
+
+def d_table_kp2(k: int, n_max: int) -> CountTable:
+    """Short-chord table of ``kp2_rows``."""
+    return CountTable(k, "short_chords", tuple(kp2_rows(k, n_max)))
 
 
 def _slot_width(k: int, m_max: int) -> int:

@@ -97,7 +97,7 @@ def test_criterion_2_four_route_agreement():
     start = time.monotonic()
     for k in (2, 3, 4, 5):
         routes = {
-            route: build_rows("short", k, 12, route)
+            route: list(build_rows("short", k, 12, route))
             for route in ("closed", "kp1", "kp2", "series")
         }
         base = routes["closed"]

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -111,14 +112,14 @@ class TestTable:
     def test_json_text_matches_json_dumps(self, rows, k, stat):
         payload = {"k": k, "kind": stat, "rows": [[str(c) for c in row] for row in rows]}
         writes: list[str] = []
-        cli.rows_to_json(rows, k, stat, writes.append)
+        cli.rows_to_json(iter(rows), k, stat, writes.append)  # rows as a streamed route yields them
         assert "".join(writes) == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("route, k, n_max, fmt", [("kp1", 3, 120, "csv"), ("kp2", 5, 40, "json")])
     def test_emitters_hold_one_row_of_text(self, route, k, n_max, fmt):
         """Writing a built table allocates, at its peak, less than a quarter
         of the text's length: the text is written a row at a time."""
-        rows = cli.build_rows("short", k, n_max, route)
+        rows = list(cli.build_rows("short", k, n_max, route))
         if fmt == "csv":
             emit = functools.partial(cli.rows_to_csv, rows)
         else:
@@ -134,6 +135,47 @@ class TestTable:
         finally:
             tracemalloc.stop()
         assert peak < length / 4, (peak, length)
+
+    @pytest.mark.parametrize("route, k, n_max", [("kp1", 3, 200), ("kp2", 5, 150)])
+    def test_streamed_routes_hold_one_row(self, route, k, n_max):
+        """Reading a streamed route row by row allocates, at its peak, less
+        than a quarter of the size of the whole table's entries."""
+        entries = sum(sys.getsizeof(c) for row in cli.build_rows("short", k, n_max, route) for c in row)
+        tracemalloc.start()
+        try:
+            for _ in cli.build_rows("short", k, n_max, route):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < entries / 4, (peak, entries)
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing-out", "new-out"])
+    def test_check_failing_partway(self, capsys, monkeypatch, tmp_path, existing):
+        """A kernel check that fails at row 5 exits 4 with one line.  Stdout
+        keeps the rows written before it; an --out file is left as it was."""
+        argv = ["table", "--k", "3", "--stat", "short", "--n-max", "8", "--route", "kp1"]
+        _, whole, _ = run_cli(capsys, *argv)
+        real = tables.kp1_rows
+
+        def failing(k, n_max):
+            for n, row in enumerate(real(k, n_max)):
+                if n == 5:
+                    raise counting.SelfCheckError("ratio recurrence not integral at n=5, s=1")
+                yield row
+
+        monkeypatch.setattr(tables, "kp1_rows", failing)
+        message = "error: internal check failed: ratio recurrence not integral at n=5, s=1\n"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (4, message)
+        assert out == whole[: whole.index("\n5,") + 1]  # the header and rows 0..4
+        target = tmp_path / "table.csv"
+        if existing:
+            target.write_bytes(b"an older table\n")
+        assert run_cli(capsys, *argv, "--out", str(target)) == (4, "", message)
+        assert list(tmp_path.iterdir()) == ([target] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"an older table\n"
 
     def test_bfile_format(self, capsys):
         code, out, _ = run_cli(
@@ -239,6 +281,19 @@ class TestTable:
         assert code == expect and out == "" and err.startswith("error: ")
         assert not target.exists()
 
+    def test_out_errors_name_the_path(self, capsys, tmp_path):
+        """--out into a missing directory, or onto a directory (written in
+        place, as a device would be), fails with the plain open's line."""
+        argv = ["table", "--k", "2", "--stat", "short", "--n-max", "3", "--out"]
+        missing = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(capsys, *argv, str(missing))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        code, out, err = run_cli(capsys, *argv, str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
     )
@@ -292,8 +347,8 @@ class TestVerify:
         [
             pytest.param(module, builder, k, line, id=f"{builder}-k{k}")
             for module, builder, k, line in [
-                (tables, "d_table_kp1", 3, "MISMATCH k=3 n=3 s=0 closed=219 kp1=220"),
-                (tables, "d_table_kp2", 3, "MISMATCH k=3 n=3 s=0 closed=219 kp2=220"),
+                (tables, "kp1_rows", 3, "MISMATCH k=3 n=3 s=0 closed=219 kp1=220"),
+                (tables, "kp2_rows", 3, "MISMATCH k=3 n=3 s=0 closed=219 kp2=220"),
                 (tables, "noncrossing_table", 3, "MISMATCH k=3 n=3 s=0 recurrence=1 series=0"),
                 (series, "F_series", 3, "MISMATCH k=3 n=3 s=1 closed=53 series=54"),
                 (series, "C_series", 3, "MISMATCH k=3 n=3 q=1 closed=56 series=57"),
@@ -349,6 +404,8 @@ class TestVerify:
 
 def _raise_one_count(result):
     """A builder's result with one of its counts raised by 1."""
+    if isinstance(result, types.GeneratorType):  # a row kernel: column 0 of its last row
+        return _raise_last_row(result)
     if isinstance(result, tables.CountTable):
         rows = [list(row) for row in result.rows]
         rows[-1][0] += 1
@@ -362,6 +419,14 @@ def _raise_one_count(result):
     else:
         result[-1][-1] += 1
     return result
+
+
+def _raise_last_row(rows):
+    row = next(rows)
+    for following in rows:
+        yield row
+        row = following
+    yield (row[0] + 1, *row[1:])
 
 
 class TestSeries:
@@ -446,6 +511,33 @@ class TestOeis:
             code, out, _ = run_cli(capsys, "oeis", "--seq", seq, "--terms", str(terms))
             assert code == 0
             assert out == "".join(lines[:terms]), f"{terms} terms"
+
+
+    @pytest.mark.parametrize(
+        "seq", [seq for seq, (stat, _) in cli.OEIS_SEQUENCES.items() if stat != "fuss"]
+    )
+    def test_reads_one_stream(self, capsys, monkeypatch, seq):
+        """One call of the route builder per command, read only as far as
+        the row that holds the last value printed."""
+        stat, _ = cli.OEIS_SEQUENCES[seq]
+        route = cli.DEFAULT_ROUTE[stat]
+        real = cli.ROUTES[stat][route]
+        calls, read = [], []
+
+        def spy(*args):
+            calls.append(args)
+            for row in real(*args):
+                read.append(row)
+                yield row
+
+        monkeypatch.setitem(cli.ROUTES[stat], route, spy)
+        lines = (FIXTURES / f"{seq}.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        code, out, _ = run_cli(capsys, "oeis", "--seq", seq, "--terms", str(len(lines)))
+        assert code == 0 and out == "".join(lines)
+        assert len(calls) == 1
+        skip = 1 if stat == "nc-short" else 0
+        held = [len(cli._trim(row)) - skip for row in read[1:]]
+        assert sum(held[:-1]) < len(lines) <= sum(held)
 
 
 class TestGoldenDigests:
@@ -715,6 +807,8 @@ class TestArgumentErrors:
             ("table --k 3 --stat short --n-max 3 --offset 1 --format json", "--offset needs --format bfile"),
             ("series --k 2 --gf F --order 2 --order2 5", "--order2 needs --gf T or L"),
             ("series --k 2 --gf C --order 2 --order2 2", "--order2 needs --gf T or L"),
+            ("series --k 2 --gf T --order -1", "argument --order: must be at least 0, got -1"),
+            ("series --k 2 --gf L --order 3 --order2 -1", "argument --order2: must be at least 0, got -1"),
             *(
                 (
                     f"memory --board {shlex.quote(spec)} --k 2",
@@ -729,7 +823,7 @@ class TestArgumentErrors:
         ids=[
             "stats", "table", "verify", "verify-m-max", "series", "oeis", "memory", "memory-seed", "memory-sample",
             "asympt", "asympt-n", "missing", "stats-k0",
-            "offset-csv", "offset-json", "order2-F", "order2-C",
+            "offset-csv", "offset-json", "order2-F", "order2-C", "order-negative", "order2-negative",
             "board-hex", "board-path-abc", "board-path-empty", "board-grid-1d", "board-torus-2x", "board-grid-3d",
             "board-underscore", "board-space-plus", "board-fullwidth", "board-leading-zero", "board-negative",
             "board-zero-rows",
