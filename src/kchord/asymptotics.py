@@ -58,25 +58,30 @@ def _exp_neg_interval(lam: Fraction) -> tuple[Fraction, Fraction]:
     """Rational bounds on e^(-lam), lam >= 0, via the alternating series.
 
     Once the terms decrease, consecutive partial sums bracket the value;
-    iteration continues until the bracket is narrower than 2^-200.
+    iteration continues until the bracket is narrower than 2^-200.  With
+    lam = a/b, partial sum i is num_i / (b^i i!), where
+    num_i = num_(i-1) b i + (-a)^i, so the walk is in integers and only
+    the two ends become fractions.
     """
     if lam < 0:
         raise ValueError("need lam >= 0")
     if lam == 0:
         return Fraction(1), Fraction(1)
-    width_goal = Fraction(1, 2**200)
-    term = Fraction(1)
-    partial = Fraction(1)
+    a, b = lam.numerator, lam.denominator
+    num = den = 1  # partial sum 0
+    power = 1  # a^i
     i = 0
-    prev = None
     while True:
         i += 1
-        term *= -lam / i
-        partial += term
-        if prev is not None and abs(term) < width_goal and i > lam:
-            lo, hi = (partial, prev) if partial <= prev else (prev, partial)
-            return lo, hi
-        prev = partial
+        prev_num, prev_den = num, den
+        power *= a
+        den *= b * i
+        num = num * b * i + (-power if i & 1 else power)
+        # |term i| = a^i / (b^i i!) < 2^-200, and the terms decrease (i > lam)
+        if i > 1 and i * b > a and power << 200 < den:
+            partial, prev = Fraction(num, den), Fraction(prev_num, prev_den)
+            # an odd term is negative, so it ends below the partial sum before it
+            return (partial, prev) if i & 1 else (prev, partial)
 
 
 def _poisson_masses(lam: Fraction) -> Iterator[tuple[int, int]]:
@@ -113,27 +118,46 @@ def tv_distance_interval(row: Sequence[int], lam: Fraction) -> tuple[Fraction, F
     lower bound, ceiling for an upper one), so the returned fractions
     have denominator dividing 2^(PRECISION_BITS+1).  The upper bound is
     clamped to 1.
+
+    The walk stops early at the first step j where the tail is below the
+    tolerance, the scaled Poisson bracket is (0, 1) and can no longer grow
+    (lam <= j + 1), and the row mass not yet walked is below one unit.
+    Every later step up to the cut then adds exactly 0 to the lower sums
+    and 1 to the upper ones, so those steps are added in one.
     """
     total = sum(row)
     if total <= 0:
         raise ValueError("empty distribution")
     one = 1 << PRECISION_BITS
     tail_bound = TAIL_TOLERANCE * one
+    lam_ceil = -(-lam.numerator // lam.denominator)
+    end = max(len(row) - 1, lam_ceil)  # the earliest cut
     sum_lo = sum_hi = 0
     dist_lo = dist_hi = 0
+    seen = 0  # row mass walked so far
     for j, (q_lo, q_hi) in enumerate(_poisson_masses(lam)):
-        if j > 10_000:
+        if j > end + 10_000:
             raise counting.SelfCheckError("Poisson tail failed to shrink")
         sum_lo += q_lo
         sum_hi += q_hi
         count = row[j] if j < len(row) else 0
+        seen += count
         p_lo = count * one // total
         p_hi = -(-count * one // total)
         dist_lo += max(0, p_lo - q_hi, q_lo - p_hi)
         dist_hi += max(q_hi - p_lo, p_hi - q_lo)
         # The cut lies past the row, so only the Poisson side has a tail.
         tail_hi = one - sum_lo
-        if j >= len(row) - 1 and j >= lam and tail_hi < tail_bound:
+        if (
+            j >= end
+            or q_lo == 0 and q_hi == 1 and j + 1 >= lam_ceil
+            and (total - seen) << PRECISION_BITS < total
+        ) and tail_hi < tail_bound:
+            # Steps j+1..end: p = (0, 0 or 1) against q = (0, 1), a
+            # tail that stays put, and 1 more on each upper sum.
+            skipped = max(0, end - j)
+            dist_hi += skipped
+            sum_hi += skipped
             break
     tail_lo = max(0, one - sum_hi)
     # A total-variation distance is at most 1, whatever the rounding adds.

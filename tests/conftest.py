@@ -11,7 +11,9 @@ product in test_series) with their own negative-binomial expansion.
 its own, so the package's array walk is never checked against itself.
 ``characteristic_expansion`` derives the non-crossing mean and variance
 constants by a saddle-point expansion, independently of the closed form
-``nc_mean_variance``.
+``nc_mean_variance``.  ``stepwise_tv_interval`` walks the package's own
+Poisson mass brackets step by step to the cut, so it checks the one-step
+tail of ``tv_distance_interval``, not the brackets.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from math import comb, factorial
 from hypothesis import settings
 
 from kchord import BivariateSeries, Diagram, SelfCheckError, total_diagrams
+from kchord.asymptotics import PRECISION_BITS, TAIL_TOLERANCE, _poisson_masses
 
 # A failing property test prints the blob that reproduces it
 # (@reproduce_failure).  The profile inherits the one already active, so
@@ -311,6 +314,32 @@ def fraction_tv_interval(row, lam, tail_tolerance=Fraction(1, 10**12)):
         else:
             dist_hi += max(q_hi - p, p - q_lo)
     return (dist_lo + q_tail_lo) / 2, (dist_hi + q_tail_hi) / 2
+
+
+def stepwise_tv_interval(row, lam):
+    """``tv_distance_interval`` without its one-step tail: every Poisson
+    term up to the cut is walked and rounded on its own."""
+    total = sum(row)
+    one = 1 << PRECISION_BITS
+    tail_bound = TAIL_TOLERANCE * one
+    sum_lo = sum_hi = 0
+    dist_lo = dist_hi = 0
+    for j, (q_lo, q_hi) in enumerate(_poisson_masses(lam)):
+        if j > max(len(row) - 1, lam) + 10_000:
+            raise SelfCheckError("Poisson tail failed to shrink")
+        sum_lo += q_lo
+        sum_hi += q_hi
+        count = row[j] if j < len(row) else 0
+        p_lo = count * one // total
+        p_hi = -(-count * one // total)
+        dist_lo += max(0, p_lo - q_hi, q_lo - p_hi)
+        dist_hi += max(q_hi - p_lo, p_hi - q_lo)
+        tail_hi = one - sum_lo
+        if j >= len(row) - 1 and j >= lam and tail_hi < tail_bound:
+            break
+    tail_lo = max(0, one - sum_hi)
+    upper = min(dist_hi + tail_hi, 2 * one)
+    return Fraction(dist_lo + tail_lo, 2 * one), Fraction(upper, 2 * one)
 
 
 # --- characteristic equation of the non-crossing model -----------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import characteristic_expansion, fraction_tv_interval
+from conftest import (
+    characteristic_expansion,
+    fraction_exp_neg_interval,
+    fraction_tv_interval,
+    stepwise_tv_interval,
+)
 from kchord import (
     nc_mean_report,
     nc_mean_variance,
@@ -23,8 +29,8 @@ from kchord.asymptotics import (
     decimal_str,
     factorial_moment,
 )
-from kchord import tables
-from kchord.counting import component_row, short_chord_row
+from kchord import asymptotics, tables
+from kchord.counting import SelfCheckError, component_row, short_chord_row
 from kchord.tables import d_table_kp2, fuss_catalan
 
 
@@ -62,6 +68,18 @@ class TestExpInterval:
         assert hi - lo <= Fraction(1, 2**200)
         float_val = math.exp(-float(lam))
         assert float(lo) - 1e-12 <= float_val <= float(hi) + 1e-12
+
+    @given(st.fractions(min_value=0, max_value=50, max_denominator=1000))
+    @example(poisson_lambda(2, 100))
+    @example(poisson_lambda(3, 9))
+    @example(poisson_lambda(3, 200))
+    @example(poisson_lambda(4, 2))
+    @example(poisson_lambda(5, 1))
+    @example(Fraction(50))
+    @settings(max_examples=40, deadline=None)
+    def test_integer_walk_equals_fraction_series(self, lam):
+        # the same partial sums, kept over one integer denominator
+        assert _exp_neg_interval(lam) == fraction_exp_neg_interval(lam)
 
 
 class TestFactorialMoment:
@@ -142,6 +160,55 @@ class TestTvDistance:
         assert hi - lo <= Fraction(1, 2**190)
         for bound in (lo, hi):
             assert 2 ** (PRECISION_BITS + 1) % bound.denominator == 0
+
+
+    @given(
+        st.tuples(
+            st.lists(st.one_of(st.integers(0, 10), st.integers(0, 2**300)), min_size=1, max_size=40),
+            st.integers(0, 60),
+        ).map(lambda row_zeros: row_zeros[0] + [0] * row_zeros[1]).filter(any),
+        st.fractions(min_value=0, max_value=30, max_denominator=1000),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(row=short_chord_row(2, 300), lam=Fraction(1))  # the tail is added in one step
+    @example(row=[3, 2, 1], lam=Fraction(25, 2))  # the cut is set by lam, not the row
+    @example(row=[0, 1, 2], lam=Fraction(0))
+    @example(row=[0] * 200 + [1], lam=Fraction(1))  # all the mass lies past the Poisson tail
+    @example(row=[2**400] + [0] * 100 + [1], lam=Fraction(1))  # later mass below one unit
+    @example(row=list(short_chord_row(3, 20)) + [0] * 30, lam=poisson_lambda(3, 20))
+    def test_equals_stepwise_walk(self, row, lam):
+        # exactly, not within ulps: the steps added in one each add 0 or 1
+        assert tv_distance_interval(row, lam) == stepwise_tv_interval(row, lam)
+
+    def test_tail_is_not_walked(self, monkeypatch):
+        drawn = []
+
+        def counted(lam):
+            for mass in _poisson_masses(lam):
+                drawn.append(mass)
+                yield mass
+
+        monkeypatch.setattr(asymptotics, "_poisson_masses", counted)
+        row = short_chord_row(2, 300)
+        assert tv_distance_interval(row, Fraction(1)) == stepwise_tv_interval(row, Fraction(1))
+        # row masses and Poisson masses are both below 2^-256 well before j = 100
+        assert len(drawn) < 100
+
+    @pytest.mark.parametrize(
+        "row",
+        [list(short_chord_row(2, 50)) + [0] * 10_000, [1] * 10_002],
+        ids=["zero-padded", "walked-to-its-end"],
+    )
+    def test_row_past_ten_thousand_entries(self, row):
+        # the walk once stopped at j = 10,001 whatever the row's length
+        lo, hi = tv_distance_interval(row, Fraction(1))
+        assert (lo, hi) == stepwise_tv_interval(row, Fraction(1))
+        assert 0 < lo <= hi < 1
+
+    def test_tail_that_never_shrinks_raises(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_poisson_masses", lambda lam: itertools.repeat((0, 0)))
+        with pytest.raises(SelfCheckError, match="Poisson tail failed to shrink"):
+            tv_distance_interval([1, 2, 3], Fraction(1))
 
 
 class TestPoissonReport:

@@ -740,6 +740,12 @@ class TestAsympt:
         assert code == 0
         assert out == (FIXTURES / "asympt" / fixture).read_text(encoding="utf-8")
 
+    def test_row_past_ten_thousand(self, capsys):
+        # the certificate once stopped with exit 4 at its 10,001st Poisson term
+        code, out, _ = run_cli(capsys, "asympt", "--k", "2", "--kind", "short", "--n", "10001", "--format", "csv")
+        assert code == 0
+        assert out.split("\n")[1].startswith("10001,1,1,")
+
     @pytest.mark.parametrize(
         "argv, message",
         [
