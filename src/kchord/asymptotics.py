@@ -92,9 +92,19 @@ def _poisson_masses(lam: Fraction) -> Iterator[tuple[int, int]]:
     hi / 2^PRECISION_BITS >= (lam^j / j!) * exp_hi, with (exp_lo, exp_hi)
     the bracket of e^(-lam) from ``_exp_neg_interval``: every rounding
     floors a lower bound and ceils an upper one.
+
+    The masses of the lower ends sum to exp_lo * e^lam, which falls short
+    of 1 by up to (exp_hi - exp_lo) / exp_lo.  A lam for which that is
+    TAIL_TOLERANCE or more is rejected with ``ValueError``, since no
+    Poisson tail could then be certified below the tolerance (from about
+    lam = 111 on).
     """
     one = 1 << PRECISION_BITS
     exp_lo, exp_hi = _exp_neg_interval(lam)
+    if exp_hi - exp_lo >= TAIL_TOLERANCE * exp_lo:
+        raise ValueError(
+            f"lam = {lam} is too large: no Poisson tail can be certified below {float(TAIL_TOLERANCE):g}"
+        )
     e_lo = exp_lo.numerator * one // exp_lo.denominator
     e_hi = -(-exp_hi.numerator * one // exp_hi.denominator)
     a, b = lam.numerator, lam.denominator
@@ -117,7 +127,7 @@ def tv_distance_interval(row: Sequence[int], lam: Fraction) -> tuple[Fraction, F
     integers scaled by 2^PRECISION_BITS and rounded outward (floor for a
     lower bound, ceiling for an upper one), so the returned fractions
     have denominator dividing 2^(PRECISION_BITS+1).  The upper bound is
-    clamped to 1.
+    clamped to 1.  A lam too large to certify raises ``ValueError``.
 
     The walk stops early at the first step j where the tail is below the
     tolerance, the scaled Poisson bracket is (0, 1) and can no longer grow

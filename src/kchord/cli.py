@@ -55,8 +55,11 @@ def _fold(hist, n: int, coord) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _oracle_rows(coord: str, k: int, n_max: int, budget: int | None):
-    return [_fold(diagrams.survey(k, n, budget=budget), n, coord) for n in range(n_max + 1)]
+def _oracle_rows(walk, k: int, n_max: int, budget: int | None):
+    """Rows 0..n_max of one statistic from the oracle walk of that
+    statistic alone, all walked before any row is written."""
+    hists = [walk(k, n, budget=budget) for n in range(n_max + 1)]
+    return [tuple(hist.get(j, 0) for j in range(n + 1)) for n, hist in enumerate(hists)]
 
 
 # stat -> route -> rows(k, n_max, budget): an iterable of rows 0..n_max
@@ -72,12 +75,12 @@ ROUTES = {
         "kp1": lambda k, n_max, *_: tables.kp1_rows(k, n_max),
         "kp2": lambda k, n_max, *_: tables.kp2_rows(k, n_max),
         "series": lambda k, n_max, *_: _coefficient_rows(series.F_series(k, n_max), n_max),
-        "oracle": lambda *args: _oracle_rows("s", *args),
+        "oracle": lambda *args: _oracle_rows(diagrams.short_survey, *args),
     },
     "components": {
         "closed": lambda k, n_max, *_: (counting.component_row(k, n) for n in range(n_max + 1)),
         "series": lambda k, n_max, *_: _coefficient_rows(series.C_series(k, n_max), n_max),
-        "oracle": lambda *args: _oracle_rows("q", *args),
+        "oracle": lambda *args: _oracle_rows(diagrams.component_survey, *args),
     },
     "nc-short": {
         "recurrence": lambda k, m_max, *_: list(tables.noncrossing_table(k, m_max).rows),

@@ -185,7 +185,7 @@ def component_row(k: int, n: int) -> tuple[int, ...]:
         term = total_diagrams(k, j) * comb(a, t) * comb(a - 1 + r, r) if t >= 0 else 0
         while t >= 0:
             inner[n - j - r] += -term if r & 1 else term
-            term = term * t * (t - 1) * (a + r) // ((a - t + 2) * (a - t + 1) * (r + 1))
+            term = term * (t * (t - 1) * (a + r)) // ((a - t + 2) * (a - t + 1) * (r + 1))
             r, t = r + 1, t - 2
     return tuple(inverse_binomial_transform(inner))
 

@@ -7,7 +7,8 @@ by first occurrence.  This module provides canonicalization, per-diagram
 statistics computed on block bitmasks, the lattice-path encoding of
 non-crossing diagrams, the brute-force non-crossing survey on numpy level
 arrays, and the one partition walk behind the brute-force statistics
-survey (the test oracle) and the memory game's exhaustive deals.
+survey (the test oracle), its walks of short chords or components alone,
+and the memory game's exhaustive deals.
 """
 
 from __future__ import annotations
@@ -522,3 +523,61 @@ def survey(k: int, n: int, budget: int | None = None) -> dict[tuple[int, int, in
     oracle_budget(budget, total_diagrams(k, n))
     return _partitions(k * n, k, _survey_step, _SURVEY_ROOT, _survey_extend, _SURVEY_EMPTY, _survey_leaf)
 
+
+# The walks of one statistic keep only what it reads, so more prefixes
+# merge than in the joint survey.  For short chords the state and the
+# fact are both a count of short blocks.  For components the state is
+# (runs of U, the bits of U next to ``rest``) and the fact is the union
+# C of the tail's short blocks, read as in the survey's step and leaf.
+
+
+def _short_step(rest: int, shorts: int, m: int) -> int:
+    return shorts + (m == (1 << m.bit_length()) - (m & -m))
+
+
+def _short_extend(free: int, a: int, more: int) -> int:
+    return more + (a == (1 << a.bit_length()) - (a & -a))
+
+
+def _short_leaf(shorts: int, tail: list, hist: dict, times: int) -> None:
+    get = hist.get
+    for more, count in tail:
+        key = shorts + more
+        hist[key] = get(key, 0) + count * times
+
+
+def _component_step(rest: int, state: tuple[int, int], m: int) -> tuple[int, int]:
+    runs, edge = state
+    if m == (1 << m.bit_length()) - (m & -m):
+        runs += 1 - (edge << 1 & m | m << 1 & edge).bit_count()
+        edge |= m
+    return runs, edge & (rest << 1 | rest >> 1)
+
+
+def _component_extend(free: int, a: int, covered: int) -> int:
+    return covered | a if a == (1 << a.bit_length()) - (a & -a) else covered
+
+
+def _component_leaf(state: tuple[int, int], tail: list, hist: dict, times: int) -> None:
+    runs, edge = state
+    get = hist.get
+    for covered, count in tail:
+        joins = (edge << 1 & covered | covered << 1 & edge).bit_count()
+        key = runs + (covered & ~(covered << 1)).bit_count() - joins
+        hist[key] = get(key, 0) + count * times
+
+
+def short_survey(k: int, n: int, budget: int | None = None) -> dict[int, int]:
+    """Brute-force histogram of short chords: the short-chord marginal of
+    :func:`survey`, from a walk that keeps only the short-block count."""
+    _check_sizes(k, n)
+    oracle_budget(budget, total_diagrams(k, n))
+    return _partitions(k * n, k, _short_step, 0, _short_extend, 0, _short_leaf)
+
+
+def component_survey(k: int, n: int, budget: int | None = None) -> dict[int, int]:
+    """Brute-force histogram of components: the component marginal of
+    :func:`survey`, from a walk that keeps only the runs of short blocks."""
+    _check_sizes(k, n)
+    oracle_budget(budget, total_diagrams(k, n))
+    return _partitions(k * n, k, _component_step, (0, 0), _component_extend, 0, _component_leaf)

@@ -24,6 +24,7 @@ from kchord import (
 )
 from kchord.asymptotics import (
     PRECISION_BITS,
+    TAIL_TOLERANCE,
     _exp_neg_interval,
     _poisson_masses,
     decimal_str,
@@ -209,6 +210,15 @@ class TestTvDistance:
         monkeypatch.setattr(asymptotics, "_poisson_masses", lambda lam: itertools.repeat((0, 0)))
         with pytest.raises(SelfCheckError, match="Poisson tail failed to shrink"):
             tv_distance_interval([1, 2, 3], Fraction(1))
+
+    def test_lambda_past_the_precision_is_rejected(self):
+        # e^(-111) is bracketed finely enough to certify the tail, e^(-112)
+        # is not: that lam once walked 10,000 terms into a SelfCheckError
+        lo, hi = tv_distance_interval([1], Fraction(111))
+        assert (lo, hi) == stepwise_tv_interval([1], Fraction(111))
+        assert 1 - TAIL_TOLERANCE < lo < hi == 1
+        with pytest.raises(ValueError, match=r"^lam = 112 is too large"):
+            tv_distance_interval([1], Fraction(112))
 
 
 class TestPoissonReport:

@@ -209,6 +209,20 @@ class TestTable:
         )
         assert code == 3 and "budget" in err
 
+    @pytest.mark.parametrize("stat", ["short", "components"])
+    def test_oracle_walks_only_its_statistic(self, capsys, monkeypatch, stat):
+        def joint(*args, **kwargs):
+            raise AssertionError("the joint survey was walked")
+
+        monkeypatch.setattr(diagrams, "survey", joint)
+        argv = ["table", "--k", "3", "--stat", stat, "--n-max"]
+        code, out, _ = run_cli(capsys, *argv, "4", "--route", "oracle")
+        assert code == 0 and out == run_cli(capsys, *argv, "4", "--route", "closed")[1]
+        budget = str(total_diagrams(3, 6) - 1)  # rows 0..5 are within it
+        assert run_cli(capsys, *argv, "6", "--route", "oracle", "--budget", budget) == (
+            3, "", f"error: enumeration size {total_diagrams(3, 6)} exceeds budget {budget}\n"
+        )
+
     @pytest.mark.parametrize("k,m_max,fmt", [(3, 8, "json"), (2, 10, "csv"), (4, 6, "bfile")])
     def test_nc_oracle_matches_recurrence(self, capsys, k, m_max, fmt):
         argv = ["table", "--k", str(k), "--stat", "nc-short", "--n-max", str(m_max), "--format", fmt]

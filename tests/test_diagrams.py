@@ -44,8 +44,10 @@ from kchord.diagrams import (
     _survey_extend,
     _survey_leaf,
     _survey_step,
+    component_survey,
     noncrossing_survey,
     oracle_budget,
+    short_survey,
 )
 
 
@@ -304,10 +306,15 @@ class TestEnumerate:
         [
             lambda: survey(3, 5),
             lambda: survey(2, 6),
+            lambda: short_survey(3, 5),
+            lambda: component_survey(3, 5),
             lambda: exhaustive_distribution(path_board(12), 3),
             lambda: exhaustive_distribution(path_board(12), 2),
         ],
-        ids=["survey(3, 5)", "survey(2, 6)", "path:12 k=3", "path:12 k=2"],
+        ids=[
+            "survey(3, 5)", "survey(2, 6)", "short_survey(3, 5)", "component_survey(3, 5)",
+            "path:12 k=3", "path:12 k=2",
+        ],
     )
     def test_walk_leaves_no_garbage(self, walk):
         """A finished walk frees its layers and tails by reference count
@@ -472,12 +479,30 @@ class TestSurvey:
     def test_rows_match_closed_forms(self, k, n):
         """The survey's short-chord and component marginals against the
         closed-form rows: (2, 8) has five layers of merged prefixes, the
-        most within the default budget."""
+        most within the default budget.  The single-statistic walks count
+        the same marginals."""
         hist = survey(k, n)
         shorts, components = Counter(), Counter()
         for (s, q, _), count in hist.items():
             shorts[s] += count
             components[q] += count
+        assert [shorts[s] for s in range(n + 1)] == counting.short_chord_row(k, n)
+        assert tuple(components[q] for q in range(n + 1)) == counting.component_row(k, n)
+        assert (short_survey(k, n), component_survey(k, n)) == (shorts, components)
+
+    @given(st.sampled_from([(k, n) for k, n_max in ((2, 7), (3, 5), (4, 4)) for n in range(n_max + 1)]))
+    @settings(max_examples=20, deadline=None)
+    def test_single_statistic_walks_are_marginals(self, kn):
+        """The short-chord and component walks keep less state than the
+        survey and merge more prefixes; their histograms are the survey's
+        marginals and the closed-form rows."""
+        k, n = kn
+        shorts, components = Counter(), Counter()
+        for (s, q, _), count in survey(k, n).items():
+            shorts[s] += count
+            components[q] += count
+        assert short_survey(k, n) == shorts
+        assert component_survey(k, n) == components
         assert [shorts[s] for s in range(n + 1)] == counting.short_chord_row(k, n)
         assert tuple(components[q] for q in range(n + 1)) == counting.component_row(k, n)
 
@@ -514,10 +539,12 @@ class TestSurvey:
     "oracle, size",
     [
         (lambda budget: survey(3, 3, budget=budget), total_diagrams(3, 3)),
+        (lambda budget: short_survey(3, 3, budget=budget), total_diagrams(3, 3)),
+        (lambda budget: component_survey(3, 3, budget=budget), total_diagrams(3, 3)),
         (lambda budget: noncrossing_survey(3, 4, budget=budget), fuss_catalan(3, 4)),
         (lambda budget: exhaustive_distribution(path_board(8), 2, budget=budget), total_diagrams(2, 4)),
     ],
-    ids=["survey", "noncrossing_survey", "exhaustive_distribution"],
+    ids=["survey", "short_survey", "component_survey", "noncrossing_survey", "exhaustive_distribution"],
 )
 def test_budget_is_exact(oracle, size):
     with pytest.raises(BudgetExceededError) as exc:
