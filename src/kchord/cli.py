@@ -57,14 +57,18 @@ def _fold(hist, n: int, coord) -> tuple[int, ...]:
 
 def _oracle_rows(walk, k: int, n_max: int, budget: int | None):
     """Rows 0..n_max of one statistic from the oracle walk of that
-    statistic alone, all walked before any row is written."""
+    statistic alone, all walked before any row is written.  Every row's
+    size is checked against the budget before the first walk."""
+    for n in range(n_max + 1):
+        oracle_budget(budget, counting.total_diagrams(k, n))
     hists = [walk(k, n, budget=budget) for n in range(n_max + 1)]
     return [tuple(hist.get(j, 0) for j in range(n + 1)) for n, hist in enumerate(hists)]
 
 
 # stat -> route -> rows(k, n_max, budget): an iterable of rows 0..n_max
 # (m_max for nc-short).  Each route is its own derivation.  The closed,
-# kp1 and kp2 routes yield each row as it is built; the others build every
+# kp1 and kp2 routes yield each row as it is built (closed components by
+# the three-row recurrence of tables.component_rows); the others build every
 # row first (the recurrence reads all earlier rows, and the oracle refuses
 # its budget before any output).
 # Builders are looked up when a route runs, so a replaced module
@@ -78,7 +82,7 @@ ROUTES = {
         "oracle": lambda *args: _oracle_rows(diagrams.short_survey, *args),
     },
     "components": {
-        "closed": lambda k, n_max, *_: (counting.component_row(k, n) for n in range(n_max + 1)),
+        "closed": lambda k, n_max, *_: tables.component_rows(k, n_max),
         "series": lambda k, n_max, *_: _coefficient_rows(series.C_series(k, n_max), n_max),
         "oracle": lambda *args: _oracle_rows(diagrams.component_survey, *args),
     },
@@ -421,7 +425,7 @@ def _short_mean(rows, k, *_) -> str:
 def _component_routes(rows, k, n_max, *_) -> str:
     if mismatch := _route_mismatch(rows, k, "components", "q"):
         return mismatch
-    for n, row in enumerate(rows("components", "closed")):
+    for n, row in enumerate(rows("components", "series")):  # closed rows sum to N(k, n) by construction
         if sum(row) != counting.total_diagrams(k, n):
             return f"MISMATCH k={k} n={n} component row sum\n"
     agreed = "/".join(DERIVED_ROUTES["components"])

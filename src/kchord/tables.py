@@ -4,17 +4,20 @@ Two independent recurrences produce the short-chord table: a two-term
 ratio recurrence whose zero column is the complement of its row in the
 diagram total (route ``kp1``), and a single-seed append recurrence that
 tracks what happens to short chords when one extra block is threaded
-into a diagram (route ``kp2``).  A third recurrence builds the table of
-fully non-crossing diagrams by number of short chords from the k-th
-power of its generating function; a Lagrange-inversion sum gives any
-single row of that table on its own.
+into a diagram (route ``kp2``).  A three-row recurrence, the ratio
+recurrence carried over by a change of variable, produces the table by
+components (the ``closed`` component route).  These three yield each
+row as it is built and keep only the few rows they read.  A fourth
+recurrence builds the whole table of fully non-crossing diagrams by
+number of short chords from the k-th power of its generating function;
+a Lagrange-inversion sum gives any single row of that table on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, zip_longest
 from math import comb
 from operator import add, mul
 from typing import Iterator
@@ -68,6 +71,64 @@ def _kp1_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
 def d_table_kp1(k: int, n_max: int) -> CountTable:
     """Short-chord table of ``kp1_rows``."""
     return CountTable(k, "short_chords", tuple(kp1_rows(k, n_max)))
+
+
+def component_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..n_max of the table by components, c(n, q) for q = 0..n,
+    yielded one at a time; only the three previous rows are kept.
+
+    The component and short-chord tables are one change of variable
+    apart, c(x, u) = d(x, u / (1 - x + xu)): C(x, y) = W F(x W^k) with
+    W = (1 + xy) / (1 + x^2 y), and the marked short-chord series is
+    V F(x V^k) with V = 1 / (1 - xy), so y <- y(1 - x) / (1 + xy) turns
+    V into W.  Put into the first-order equation behind ``kp1_rows``, it
+    gives, with g_n(q) = (q+1) c(n, q+1) and h_n(q) = (kn+1) c(n, q),
+
+        g_n(q) = (k+1)(g_{n-1}(q) - g_{n-1}(q-1)) - (2k-1)(g_{n-2}(q) - g_{n-2}(q-1))
+               + (k-1)(g_{n-3}(q) - 2 g_{n-3}(q-1) + g_{n-3}(q-2)) + h_{n-1}(q) - h_{n-2}(q)
+
+    for q = 0..n-1, rows before row 0 being zero.  The q = 0 column is
+    the complement of the rest of the row in N(k, n), carried as in
+    ``kp1_rows``.  Two self-checks raise ``SelfCheckError``: each
+    c(n, q) = g_n(q-1) / q must divide out exactly, and each row must
+    satisfy the run-start identity
+
+        sum_q q c(n, q) = (kn - k + 1) N(k, n-1) - (kn - 2k + 1) N(k, n-2).
+
+    The sizes are checked by the call, before the first row is asked for.
+    """
+    _check_sizes(k, n_max, "n_max")
+    return _component_rows(k, n_max)
+
+
+def _component_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
+    g1: list[int] = []  # g_{n-1}, g_{n-2}, g_{n-3}
+    g2: list[int] = []
+    g3: list[int] = []
+    h1: list[int] = []  # h_{n-1}, h_{n-2}
+    h2: list[int] = []
+    last = before = 0  # N(k, n-1), N(k, n-2)
+    for n in range(n_max + 1):
+        # (k+1) g_{n-1} - (2k-1) g_{n-2} + (k-1)(1 - u) g_{n-3}, then times (1 - u)
+        inner = [
+            (k + 1) * a - (2 * k - 1) * b + (k - 1) * (c - c_)
+            for a, b, c, c_ in zip_longest(g1, g2, g3, [0, *g3], fillvalue=0)
+        ]
+        g = [a - a_ + b - b_ for a, a_, b, b_ in zip_longest(inner, [0, *inner], h1, h2, fillvalue=0)][:n]
+        if sum(g) != (k * n - k + 1) * last - (k * n - 2 * k + 1) * before:
+            raise SelfCheckError(f"component recurrence breaks the run-start identity at k={k}, n={n}")
+        row = [0]
+        for q, value in enumerate(g, 1):
+            entry, rem = divmod(value, q)
+            if rem:
+                raise SelfCheckError(f"component recurrence not integral at k={k}, n={n}, q={q}")
+            row.append(entry)
+        total = last * comb(k * n - 1, k - 1) if n else 1
+        row[0] = total - sum(row)
+        yield tuple(row)
+        last, before = total, last
+        g1, g2, g3 = g, g1, g2
+        h1, h2 = [(k * n + 1) * c for c in row], h1
 
 
 @lru_cache(maxsize=None)

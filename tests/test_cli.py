@@ -223,6 +223,16 @@ class TestTable:
             3, "", f"error: enumeration size {total_diagrams(3, 6)} exceeds budget {budget}\n"
         )
 
+    @pytest.mark.parametrize("stat", ["short", "components"])
+    def test_oracle_refuses_before_any_walk(self, capsys, monkeypatch, stat):
+        def walk(*args, **kwargs):
+            raise AssertionError("a row was walked")
+
+        monkeypatch.setattr(diagrams, "short_survey", walk)
+        monkeypatch.setattr(diagrams, "component_survey", walk)
+        argv = ["table", "--k", "2", "--stat", stat, "--n-max", "11", "--route", "oracle", "--budget", "1000000000"]
+        assert run_cli(capsys, *argv) == (3, "", "error: enumeration size 13749310575 exceeds budget 1000000000\n")
+
     @pytest.mark.parametrize("k,m_max,fmt", [(3, 8, "json"), (2, 10, "csv"), (4, 6, "bfile")])
     def test_nc_oracle_matches_recurrence(self, capsys, k, m_max, fmt):
         argv = ["table", "--k", str(k), "--stat", "nc-short", "--n-max", str(m_max), "--format", fmt]

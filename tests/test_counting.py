@@ -49,7 +49,7 @@ from kchord.counting import (
     triple_count_closed_k2,
 )
 from kchord.diagrams import noncrossing_survey
-from kchord.tables import d_table_kp2, kp1_rows, kp2_rows
+from kchord.tables import component_rows, d_table_kp2, kp1_rows, kp2_rows
 
 
 def brute_subpath_choices(k: int, path_len: int, j: int) -> int:
@@ -298,6 +298,7 @@ SIZE_CHECKED = {
     "d_table_kp2": (d_table_kp2, "n_max"),
     "kp1_rows": (kp1_rows, "n_max"),  # at the call, before the first row is asked for
     "kp2_rows": (kp2_rows, "n_max"),
+    "component_rows": (component_rows, "n_max"),
     "noncrossing_table": (noncrossing_table, "m_max"),
     "noncrossing_row": (noncrossing_row, "m"),
     "fuss_catalan": (fuss_catalan, "m"),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 from math import comb
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import D_TABLE_K3, T_TABLE_K3, count_exact_short, naive_enumerate,
 from kchord import (
     CountTable,
     SelfCheckError,
+    cli,
     d_table_kp1,
     d_table_kp2,
     fuss_catalan,
@@ -18,8 +20,8 @@ from kchord import (
     tables,
     total_diagrams,
 )
-from kchord.counting import count_zero_short, narayana
-from kchord.tables import _fills, noncrossing_row
+from kchord.counting import component_row, count_zero_short, narayana
+from kchord.tables import _fills, component_rows, noncrossing_row
 
 
 def _stars_and_bars(bins: int, balls: int) -> int:
@@ -158,6 +160,62 @@ class TestShortChordTables:
         for k, n_max in ((1, 3), (0, 3), (2, -2)):
             with pytest.raises(ValueError):
                 build(k, n_max)
+
+
+def components_by_substitution(k: int, n: int) -> list[int]:
+    """Row n of the component table from the short-chord rows, by
+    c(x, u) = d(x, u / (1 - x + xu)) expanded term by term:
+
+        c(n, q) = sum_{m, s} d(m, s) C(s+n-m-1, n-m) C(n-m, q-s) (-1)^(q-s),
+
+    where C(s+j-1, j) is [x^j] (1 - x(1-u))^(-s), 1 at s = j = 0."""
+    row = [0] * (n + 1)
+    for m in range(n + 1):
+        j = n - m
+        for s, count in enumerate(short_chord_row(k, m)):
+            spread = comb(s + j - 1, j) if s else int(j == 0)
+            for i in range(j + 1):
+                row[s + i] += (-1) ** i * count * spread * comb(j, i)
+    return row
+
+
+def mutant_component_rows(old: str, new: str):
+    """``component_rows`` with one piece of its kernel's source replaced."""
+    source = inspect.getsource(tables._component_rows)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(tables))
+    exec(source.replace(old, new), namespace)
+    return namespace["_component_rows"]
+
+
+class TestComponentRows:
+    @given(st.integers(2, 8), st.integers(0, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_closed_rows(self, k, n_max):
+        assert list(component_rows(k, n_max)) == [component_row(k, n) for n in range(n_max + 1)]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_substitution_identity(self, k):
+        assert [list(row) for row in component_rows(k, 15)] == [
+            components_by_substitution(k, n) for n in range(16)
+        ]
+
+    def test_closed_route_streams(self):
+        rows = cli.ROUTES["components"]["closed"](3, 5, None)
+        assert inspect.isgenerator(rows)
+        assert next(rows) == (1,)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("(2 * k - 1) * b", "(2 * k) * b", "component recurrence not integral at k=3, n=3, q=2"),
+            ("(k * n + 1) * c", "(k * n + 2) * c", "component recurrence breaks the run-start identity at k=3, n=1"),
+        ],
+        ids=["integrality", "run-start"],
+    )
+    def test_wrong_coefficient_fails_its_check(self, old, new, message):
+        with pytest.raises(SelfCheckError, match=f"^{message}$"):
+            list(mutant_component_rows(old, new)(3, 10))
 
 
 class TestKp2Coefficients:
