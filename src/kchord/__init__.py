@@ -44,14 +44,7 @@ from .memory_game import (
     torus_board,
 )
 from .series import BivariateSeries, C_series, F_series, L_series, T_series
-from .tables import (
-    CountTable,
-    d_table_kp1,
-    d_table_kp2,
-    fuss_catalan,
-    noncrossing_row,
-    noncrossing_table,
-)
+from .tables import fuss_catalan, kp1_rows, kp2_rows, noncrossing_row, noncrossing_rows
 
 __version__ = "0.1.0"
 
@@ -61,7 +54,6 @@ __all__ = [
     "BlockStats",
     "Board",
     "BudgetExceededError",
-    "CountTable",
     "C_series",
     "Diagram",
     "F_series",
@@ -73,18 +65,18 @@ __all__ = [
     "board_from_spec",
     "canonicalize",
     "count_zero_short",
-    "d_table_kp1",
-    "d_table_kp2",
     "encode_lattice_path",
     "exhaustive_distribution",
     "fuss_catalan",
     "grid_board",
+    "kp1_rows",
+    "kp2_rows",
     "mean_polyominoes",
     "mean_short_chords",
     "nc_mean_report",
     "nc_mean_variance",
     "noncrossing_row",
-    "noncrossing_table",
+    "noncrossing_rows",
     "path_board",
     "poisson_convergence_report",
     "poisson_lambda",

@@ -35,8 +35,9 @@ from .diagrams import (
 # --- table construction by route ---------------------------------------
 
 
-def _coefficient_rows(gf, n_max: int) -> list[tuple[int, ...]]:
-    return [tuple(gf.coefficient(n, j) for j in range(n + 1)) for n in range(n_max + 1)]
+def _coefficient_rows(gf, n_max: int):
+    for n, row in enumerate(gf.coeffs[: n_max + 1]):
+        yield tuple(row[: n + 1])
 
 
 def _fold(hist, n: int, coord) -> tuple[int, ...]:
@@ -57,22 +58,19 @@ def _fold(hist, n: int, coord) -> tuple[int, ...]:
 
 def _oracle_rows(walk, k: int, n_max: int, budget: int | None):
     """Rows 0..n_max of one statistic from the oracle walk of that
-    statistic alone, all walked before any row is written.  Every row's
-    size is checked against the budget before the first walk."""
+    statistic alone, each walked when it is asked for.  Every row's size
+    is checked against the budget by the call, before the first walk."""
     for n in range(n_max + 1):
         oracle_budget(budget, counting.total_diagrams(k, n))
-    hists = [walk(k, n, budget=budget) for n in range(n_max + 1)]
-    return [tuple(hist.get(j, 0) for j in range(n + 1)) for n, hist in enumerate(hists)]
+    hists = (walk(k, n, budget=budget) for n in range(n_max + 1))
+    return (tuple(hist.get(j, 0) for j in range(n + 1)) for n, hist in enumerate(hists))
 
 
-# stat -> route -> rows(k, n_max, budget): an iterable of rows 0..n_max
-# (m_max for nc-short).  Each route is its own derivation.  The closed,
-# kp1 and kp2 routes yield each row as it is built (closed components by
-# the three-row recurrence of tables.component_rows); the others build every
-# row first (the recurrence reads all earlier rows, and the oracle refuses
-# its budget before any output).
-# Builders are looked up when a route runs, so a replaced module
-# function is the one called.
+# stat -> route -> rows(k, n_max, budget), each route its own derivation:
+# it checks its sizes and budget when called, then yields rows 0..n_max
+# (m_max for nc-short) as it builds them; the nc-short oracle, one walk
+# for every row, returns them all.  Builders are looked up when a route
+# runs, so a replaced module function is the one called.
 ROUTES = {
     "short": {
         "closed": lambda k, n_max, *_: (tuple(counting.short_chord_row(k, n)) for n in range(n_max + 1)),
@@ -87,13 +85,12 @@ ROUTES = {
         "oracle": lambda *args: _oracle_rows(diagrams.component_survey, *args),
     },
     "nc-short": {
-        "recurrence": lambda k, m_max, *_: list(tables.noncrossing_table(k, m_max).rows),
+        "recurrence": lambda k, m_max, *_: tables.noncrossing_rows(k, m_max),
         "series": lambda k, m_max, *_: _coefficient_rows(series.T_series(k, m_max, m_max), m_max),
         "oracle": lambda k, m_max, budget: noncrossing_survey(k, m_max, budget),
     },
 }
 STATS = tuple(ROUTES)
-ROUTE_ALIASES = {"closed_form": "closed", "closed-form": "closed"}
 DEFAULT_ROUTE = {"short": "kp2", "components": "closed", "nc-short": "recurrence"}
 
 OEIS_SEQUENCES = {
@@ -151,13 +148,12 @@ def _trim(row) -> tuple[int, ...]:
 
 
 def build_rows(stat: str, k: int, n_max: int, route: str, budget: int | None = None):
-    """Rows 0..n_max of one statistic by one route of ``ROUTES``, as an
-    iterable that streamed routes fill row by row; component rows drop
-    trailing zeros, as the published triangles do.  Sizes, route and
-    budget are checked here, before any row is built."""
+    """Rows 0..n_max of one statistic by one route of ``ROUTES``, as the
+    route gives them; component rows drop trailing zeros, as the
+    published triangles do.  Sizes, route and budget are checked here,
+    before any row is built."""
     counting._check_sizes(k, n_max, "n_max")
     oracle_budget(budget)  # a bad budget is an error on every route
-    route = ROUTE_ALIASES.get(route, route)
     if route not in ROUTES[stat]:
         raise ValueError(
             f"route {route!r} not applicable to stat {stat!r}; "
@@ -391,13 +387,19 @@ def _cmd_asympt(args) -> int:
 DERIVED_ROUTES = {stat: tuple(r for r in routes if r != "oracle") for stat, routes in ROUTES.items()}
 
 
+def _row_mismatch(k: int, n: int, coord: str, first: str, a, other: str, b) -> str:
+    for j, (va, vb) in enumerate(zip_longest(a, b, fillvalue=0)):
+        if va != vb:
+            return f"MISMATCH k={k} n={n} {coord}={j} {first}={va} {other}={vb}\n"
+    return ""
+
+
 def _route_mismatch(rows, k: int, stat: str, coord: str) -> str:
     first, *others = DERIVED_ROUTES[stat]
     for other in others:
         for n, (a, b) in enumerate(zip(rows(stat, first), rows(stat, other))):
-            for j, (va, vb) in enumerate(zip_longest(a, b, fillvalue=0)):
-                if va != vb:
-                    return f"MISMATCH k={k} n={n} {coord}={j} {first}={va} {other}={vb}\n"
+            if mismatch := _row_mismatch(k, n, coord, first, a, other, b):
+                return mismatch
     return ""
 
 
@@ -423,7 +425,10 @@ def _short_mean(rows, k, *_) -> str:
 
 
 def _component_routes(rows, k, n_max, *_) -> str:
-    if mismatch := _route_mismatch(rows, k, "components", "q"):
+    last = rows("components", "closed")[n_max]
+    if mismatch := _route_mismatch(rows, k, "components", "q") or _row_mismatch(
+        k, n_max, "q", "closed", last, "component_row", counting.component_row(k, n_max)
+    ):
         return mismatch
     for n, row in enumerate(rows("components", "series")):  # closed rows sum to N(k, n) by construction
         if sum(row) != counting.total_diagrams(k, n):
@@ -433,7 +438,10 @@ def _component_routes(rows, k, n_max, *_) -> str:
 
 
 def _noncrossing_routes(rows, k, _n_max, m_max, *_) -> str:
-    if mismatch := _route_mismatch(rows, k, "nc-short", "s"):
+    last = rows("nc-short", "recurrence")[m_max]
+    if mismatch := _route_mismatch(rows, k, "nc-short", "s") or _row_mismatch(
+        k, m_max, "s", "recurrence", last, "noncrossing_row", tables.noncrossing_row(k, m_max)
+    ):
         return mismatch
     for m, row in enumerate(rows("nc-short", "recurrence")):
         if sum(row) != tables.fuss_catalan(k, m):

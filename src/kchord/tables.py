@@ -8,14 +8,14 @@ into a diagram (route ``kp2``).  A three-row recurrence, the ratio
 recurrence carried over by a change of variable, produces the table by
 components (the ``closed`` component route).  These three yield each
 row as it is built and keep only the few rows they read.  A fourth
-recurrence builds the whole table of fully non-crossing diagrams by
-number of short chords from the k-th power of its generating function;
-a Lagrange-inversion sum gives any single row of that table on its own.
+recurrence yields the table of fully non-crossing diagrams by number of
+short chords from the k-th power of its generating function, keeping
+the packed rows and powers it reads; a Lagrange-inversion sum gives any
+single row of that table on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, zip_longest
 from math import comb
@@ -23,15 +23,6 @@ from operator import add, mul
 from typing import Iterator
 
 from .counting import SelfCheckError, _check_sizes, inverse_binomial_transform
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """A triangular table of exact counts; ``rows[n][j]`` is row n, column j."""
-
-    k: int
-    kind: str
-    rows: tuple[tuple[int, ...], ...]
 
 
 def kp1_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
@@ -66,11 +57,6 @@ def _kp1_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
         row[0] = total - sum(row)
         prev = tuple(row)
         yield prev
-
-
-def d_table_kp1(k: int, n_max: int) -> CountTable:
-    """Short-chord table of ``kp1_rows``."""
-    return CountTable(k, "short_chords", tuple(kp1_rows(k, n_max)))
 
 
 def component_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
@@ -222,19 +208,15 @@ def _kp2_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
         yield prev
 
 
-def d_table_kp2(k: int, n_max: int) -> CountTable:
-    """Short-chord table of ``kp2_rows``."""
-    return CountTable(k, "short_chords", tuple(kp2_rows(k, n_max)))
-
-
 def _slot_width(k: int, m_max: int) -> int:
     """Bits per y-slot of a packed row: every coefficient of m P_m, m < m_max,
     is at most m FC(k, m+1) <= m_max FC(k, m_max), below 2^(width-1)."""
     return (m_max * fuss_catalan(k, m_max)).bit_length() + 1
 
 
-def noncrossing_table(k: int, m_max: int) -> CountTable:
-    """Table of fully non-crossing diagrams by short-chord count.
+def noncrossing_rows(k: int, m_max: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..m_max of the table of fully non-crossing diagrams by
+    short-chord count, yielded one at a time.
 
     Row m+1 comes from the k-fold convolution of the table with itself
     (nesting one sub-diagram in each arch of a new outer block), minus
@@ -253,12 +235,19 @@ def noncrossing_table(k: int, m_max: int) -> CountTable:
     The coefficients of m P_m are nonnegative and below 2^w, so its slots
     are its coefficients.  A carry out of a slot lowers the slot sum below
     m P_m(1) = m FC(k, m+1), and the slot sum and the bits above slot m
-    are both checked.
+    are both checked.  Only the packed rows and powers and the previous
+    row are kept; the sizes are checked by the call, before the first row
+    is asked for.
     """
     _check_sizes(k, m_max, "m_max")
+    return _noncrossing_rows(k, m_max)
+
+
+def _noncrossing_rows(k: int, m_max: int) -> Iterator[tuple[int, ...]]:
     width = _slot_width(k, m_max)
     mask = (1 << width) - 1
-    rows: list[list[int]] = [[1]]
+    prev: tuple[int, ...] = (1,)
+    yield prev
     packed_rows = [1]
     packed_power = [1]
     power = [1]
@@ -276,14 +265,12 @@ def noncrossing_table(k: int, m_max: int) -> CountTable:
                 raise SelfCheckError(f"power recurrence not integral at m={m}")
             power = [c // m for c in slots]
             packed_power.append(acc // m)
-        prev = rows[m] + [0]
-        row = [c - t + u for c, t, u in zip(power + [0], prev, [0] + prev)]
-        rows.append(row)
+        prev = tuple(c - t + u for c, t, u in zip(power + [0], (*prev, 0), (0, *prev)))
         packed = 0
-        for c in reversed(row):
+        for c in reversed(prev):
             packed = (packed << width) | c
         packed_rows.append(packed)
-    return CountTable(k, "noncrossing_short", tuple(tuple(r) for r in rows))
+        yield prev
 
 
 def noncrossing_row(k: int, m: int) -> tuple[int, ...]:

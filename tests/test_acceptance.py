@@ -22,8 +22,9 @@ from kchord import (
     grid_board,
     mean_polyominoes,
     mean_short_chords,
+    kp2_rows,
     nc_mean_report,
-    noncrossing_table,
+    noncrossing_rows,
     path_board,
     poisson_convergence_report,
     sample_placements,
@@ -33,7 +34,6 @@ from kchord import (
 from kchord.cli import build_rows, main
 from kchord.counting import component_row, narayana
 from kchord.series import triple_table
-from kchord.tables import d_table_kp2
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -115,8 +115,8 @@ def test_criterion_3_oracle_equivalence():
     start = time.monotonic()
     sizes = {(2, 7): 135135, (3, 5): 1401400, (4, 4): 2627625}
     for (k, n_cap), top_count in sizes.items():
-        d_rows = d_table_kp2(k, n_cap).rows
-        nc_rows = noncrossing_table(k, n_cap).rows
+        d_rows = tuple(kp2_rows(k, n_cap))
+        nc_rows = tuple(noncrossing_rows(k, n_cap))
         for n in range(n_cap + 1):
             hist = survey(k, n, budget=top_count)
             d_row = [0] * (n + 1)
@@ -145,23 +145,23 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_fuss_catalan_identity():
     for k in (2, 3, 4, 5):
-        t = noncrossing_table(k, 40)
+        rows = tuple(noncrossing_rows(k, 40))
         for m in range(41):
-            assert sum(t.rows[m]) == comb(k * m, m) // ((k - 1) * m + 1)
-            assert sum(t.rows[m]) == fuss_catalan(k, m)
-    narayana_table = noncrossing_table(2, 40)
+            assert sum(rows[m]) == comb(k * m, m) // ((k - 1) * m + 1)
+            assert sum(rows[m]) == fuss_catalan(k, m)
+    narayana_rows = tuple(noncrossing_rows(2, 40))
     for m in range(1, 41):
-        assert sum(narayana_table.rows[m]) == comb(2 * m, m) // (m + 1)
+        assert sum(narayana_rows[m]) == comb(2 * m, m) // (m + 1)
         for s in range(m + 1):
-            assert narayana_table.rows[m][s] == narayana(m, s)
+            assert narayana_rows[m][s] == narayana(m, s)
     _passed(4, "row sums are Fuss-Catalan; k=2 gives Catalan and Narayana")
 
 
 def test_criterion_5_mean_identities():
     for k in (2, 3, 4):
-        t = d_table_kp2(k, 50)
+        rows = tuple(kp2_rows(k, 50))
         for n in range(1, 51):
-            first_moment = sum(s * c for s, c in enumerate(t.rows[n]))
+            first_moment = sum(s * c for s, c in enumerate(rows[n]))
             assert mean_short_chords(k, n) * total_diagrams(k, n) == first_moment
     for n in range(1, 201):
         assert mean_short_chords(2, n) == 1
@@ -213,7 +213,7 @@ def test_criterion_8_memory_game():
         for (p, q), count in hist.items():
             poly_row[p] += count
             comp_row[q] += count
-        assert tuple(poly_row) == d_table_kp2(k, n).rows[n], (k, n)
+        assert tuple(poly_row) == tuple(kp2_rows(k, n))[n], (k, n)
         assert tuple(comp_row) == tuple(component_row(k, n)), (k, n)
 
     g33 = grid_board(3, 3)

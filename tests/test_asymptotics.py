@@ -17,7 +17,7 @@ from conftest import (
 from kchord import (
     nc_mean_report,
     nc_mean_variance,
-    noncrossing_table,
+    noncrossing_rows,
     poisson_convergence_report,
     poisson_lambda,
     tv_distance_interval,
@@ -32,7 +32,7 @@ from kchord.asymptotics import (
 )
 from kchord import asymptotics, tables
 from kchord.counting import SelfCheckError, component_row, short_chord_row
-from kchord.tables import d_table_kp2, fuss_catalan
+from kchord.tables import fuss_catalan, kp2_rows
 
 
 def row_variance(row) -> Fraction:
@@ -99,13 +99,13 @@ class TestTvDistance:
         assert lo == 0 and float(hi) < 1e-50
 
     def test_known_direction(self):
-        row = d_table_kp2(2, 10).rows[10]
+        row = tuple(kp2_rows(2, 10))[10]
         lo, hi = tv_distance_interval(row, Fraction(1))
         assert 0 < lo <= hi < 1
 
     def test_float_crosscheck(self):
         # independent float computation of the same truncated distance
-        row = d_table_kp2(2, 25).rows[25]
+        row = tuple(kp2_rows(2, 25))[25]
         total = sum(row)
         lam = 1.0
         tv = 0.0
@@ -138,7 +138,7 @@ class TestTvDistance:
             weight *= lam / (j + 1)
 
     def test_agrees_with_fraction_oracle(self):
-        row = d_table_kp2(3, 30).rows[30]
+        row = tuple(kp2_rows(3, 30))[30]
         lam = poisson_lambda(3, 30)
         lo, hi = tv_distance_interval(row, lam)
         o_lo, o_hi = fraction_tv_interval(row, lam)
@@ -285,7 +285,7 @@ class TestPoissonReport:
         def refuse(*_args):
             raise AssertionError("asympt built a kp2 table")
 
-        monkeypatch.setattr(tables, "d_table_kp2", refuse)
+        monkeypatch.setattr(tables, "kp2_rows", refuse)
         monkeypatch.setattr(tables, "_fills", refuse)
         rep = poisson_convergence_report(2, [40, 80])
         assert rep.n == (40, 80)
@@ -312,9 +312,9 @@ class TestNcMean:
     def test_exact_mean_agrees_with_table(self):
         # recompute the mean directly from the table row
         rep = nc_mean_report(3, [10])
-        t = noncrossing_table(3, 10)
+        row = tuple(noncrossing_rows(3, 10))[10]
         total = fuss_catalan(3, 10)
-        mean = Fraction(sum(s * c for s, c in enumerate(t.rows[10])), total)
+        mean = Fraction(sum(s * c for s, c in enumerate(row)), total)
         assert rep.exact[0] == mean / 10
         assert rep.errors[0] == abs(mean / 10 - Fraction(4, 9))
         assert rep.errors[0] == rep.errors_lower[0]

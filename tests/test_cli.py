@@ -105,8 +105,8 @@ class TestTable:
             ([(1,)], 2, "nc-short"),
             ([(), (0, 1), ()], 4, "short"),
             ([C_TABLE_K3[n] for n in sorted(C_TABLE_K3)], 3, "components"),
-            (list(tables.d_table_kp2(5, 40).rows), 5, "short"),
-            (list(tables.noncrossing_table(3, 12).rows), 3, "nc-short"),
+            (list(tables.kp2_rows(5, 40)), 5, "short"),
+            (list(tables.noncrossing_rows(3, 12)), 3, "nc-short"),
         ],
     )
     def test_json_text_matches_json_dumps(self, rows, k, stat):
@@ -201,6 +201,30 @@ class TestTable:
             "--n-max", "3", "--route", "kp1",
         )
         assert code == 2 and "not applicable" in err
+
+    def test_route_alias_refused(self, capsys):
+        # closed_form is not a route name; it gets the one-line refusal.
+        assert run_cli(capsys, "table", "--k", "3", "--stat", "short", "--n-max", "3", "--route", "closed_form") == (
+            2, "", "error: route 'closed_form' not applicable to stat 'short'; choose from closed, kp1, kp2, series, oracle\n"
+        )
+
+    @pytest.mark.parametrize("stat, route", [(s, r) for s, rs in cli.ROUTES.items() for r in rs if r != "oracle"])
+    def test_routes_are_generators(self, stat, route):
+        assert isinstance(cli.ROUTES[stat][route](3, 4, None), types.GeneratorType)
+
+    @pytest.mark.parametrize("stat, walk", [("short", "short_survey"), ("components", "component_survey")])
+    def test_oracle_walks_a_row_when_asked(self, monkeypatch, stat, walk):
+        real = getattr(diagrams, walk)
+        walked = []
+
+        def recorded(k, n, **kwargs):
+            walked.append(n)
+            return real(k, n, **kwargs)
+
+        monkeypatch.setattr(diagrams, walk, recorded)
+        rows = cli.ROUTES[stat]["oracle"](3, 5, None)
+        assert walked == []
+        assert next(rows) == (1,) and walked == [0]
 
     def test_oracle_route_budget(self, capsys):
         code, _, err = run_cli(
@@ -373,7 +397,9 @@ class TestVerify:
             for module, builder, k, line in [
                 (tables, "kp1_rows", 3, "MISMATCH k=3 n=3 s=0 closed=219 kp1=220"),
                 (tables, "kp2_rows", 3, "MISMATCH k=3 n=3 s=0 closed=219 kp2=220"),
-                (tables, "noncrossing_table", 3, "MISMATCH k=3 n=3 s=0 recurrence=1 series=0"),
+                (tables, "noncrossing_rows", 3, "MISMATCH k=3 n=3 s=0 recurrence=1 series=0"),
+                (tables, "noncrossing_row", 3, "MISMATCH k=3 n=3 s=3 recurrence=1 noncrossing_row=2"),
+                (counting, "component_row", 3, "MISMATCH k=3 n=3 q=3 closed=0 component_row=1"),
                 (series, "F_series", 3, "MISMATCH k=3 n=3 s=1 closed=53 series=54"),
                 (series, "C_series", 3, "MISMATCH k=3 n=3 q=1 closed=56 series=57"),
                 (series, "T_series", 3, "MISMATCH k=3 n=3 s=1 recurrence=4 series=5"),
@@ -430,12 +456,10 @@ def _raise_one_count(result):
     """A builder's result with one of its counts raised by 1."""
     if isinstance(result, types.GeneratorType):  # a row kernel: column 0 of its last row
         return _raise_last_row(result)
-    if isinstance(result, tables.CountTable):
-        rows = [list(row) for row in result.rows]
-        rows[-1][0] += 1
-        return tables.CountTable(result.k, result.kind, tuple(tuple(row) for row in rows))
     if isinstance(result, int):
         return result + 1
+    if isinstance(result, tuple):  # a single row: its last count
+        return (*result[:-1], result[-1] + 1)
     if isinstance(result, BivariateSeries):
         result.coeffs[-1][1] += 1
     elif isinstance(result, dict):
@@ -983,7 +1007,7 @@ OPTION_VALUES = {
     "--word": st.lists(st.integers(0, 3), max_size=8).map(lambda w: ",".join(map(str, w))),
     "--board": _BOARD,
     "--n": st.lists(st.integers(-1, 30), min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns))),
-    "--route": st.sampled_from(sorted({r for rs in cli.ROUTES.values() for r in rs} | set(cli.ROUTE_ALIASES))),
+    "--route": st.sampled_from(sorted({r for rs in cli.ROUTES.values() for r in rs} | {"closed_form", "closed-form"})),
     "--seq": st.sampled_from(sorted(cli.OEIS_SEQUENCES)),
     "--terms": st.integers(-1, 8).map(str),
     "--sample": st.one_of(st.sampled_from(["-1", "0"]), st.integers(1, 300).map(str)),

@@ -23,7 +23,6 @@ from kchord import (
     L_series,
     T_series,
     count_zero_short,
-    d_table_kp1,
     exhaustive_distribution,
     fuss_catalan,
     mean_polyominoes,
@@ -31,7 +30,7 @@ from kchord import (
     nc_mean_report,
     nc_mean_variance,
     noncrossing_row,
-    noncrossing_table,
+    noncrossing_rows,
     path_board,
     poisson_convergence_report,
     poisson_lambda,
@@ -49,7 +48,7 @@ from kchord.counting import (
     triple_count_closed_k2,
 )
 from kchord.diagrams import noncrossing_survey
-from kchord.tables import component_rows, d_table_kp2, kp1_rows, kp2_rows
+from kchord.tables import component_rows, kp1_rows, kp2_rows
 
 
 def brute_subpath_choices(k: int, path_len: int, j: int) -> int:
@@ -152,10 +151,10 @@ class TestShortChordRow:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_matches_append_recurrence_and_closed_entries(self, k):
-        table = d_table_kp2(k, 20)
+        rows = tuple(kp2_rows(k, 20))
         for n in range(21):
             row = short_chord_row(k, n)
-            assert tuple(row) == table.rows[n]
+            assert tuple(row) == rows[n]
             assert row == [count_exact_short(k, n, s) for s in range(n + 1)]
 
     @given(st.integers(2, 9), st.integers(0, 60))
@@ -294,12 +293,14 @@ SIZE_CHECKED = {
     "component_row": (component_row, "n"),
     "count_zero_short": (count_zero_short, "n"),
     "mean_short_chords": (lambda k, _: mean_short_chords(k, 3), None),
-    "d_table_kp1": (d_table_kp1, "n_max"),
-    "d_table_kp2": (d_table_kp2, "n_max"),
     "kp1_rows": (kp1_rows, "n_max"),  # at the call, before the first row is asked for
     "kp2_rows": (kp2_rows, "n_max"),
     "component_rows": (component_rows, "n_max"),
-    "noncrossing_table": (noncrossing_table, "m_max"),
+    # The whole kp1/kp2 tables, as the removed d_table_kp1/d_table_kp2 wrappers
+    # built them, now drained from the row generators by the caller.
+    "d_table_kp1": (lambda k, n: tuple(kp1_rows(k, n)), "n_max"),
+    "d_table_kp2": (lambda k, n: tuple(kp2_rows(k, n)), "n_max"),
+    "noncrossing_rows": (noncrossing_rows, "m_max"),
     "noncrossing_row": (noncrossing_row, "m"),
     "fuss_catalan": (fuss_catalan, "m"),
     "F_series": (lambda k, _: F_series(k, 3), None),

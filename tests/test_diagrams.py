@@ -28,7 +28,7 @@ from kchord import (
     encode_lattice_path,
     exhaustive_distribution,
     fuss_catalan,
-    noncrossing_table,
+    noncrossing_rows,
     path_board,
     stats,
     survey,
@@ -663,7 +663,7 @@ class TestNoncrossing:
         """Masks of 52 to 66 bits stay exact on either side of the int64
         width; a short block of 54 or more vertices is where a float bit
         length rounds up."""
-        assert noncrossing_survey(k, m_max) == list(noncrossing_table(k, m_max).rows)
+        assert noncrossing_survey(k, m_max) == list(noncrossing_rows(k, m_max))
         dtype = next(diagrams._noncrossing_levels(k, m_max)).dtype
         assert (dtype == object) == (k * m_max >= 64)
 
@@ -717,7 +717,7 @@ class TestNoncrossing:
     def test_survey_matches_recurrence(self, k_m):
         """k <= 8 and m <= 8, up to 50,000 diagrams in the top row."""
         k, m_max = k_m
-        assert noncrossing_survey(k, m_max) == list(noncrossing_table(k, m_max).rows)
+        assert noncrossing_survey(k, m_max) == list(noncrossing_rows(k, m_max))
 
     def test_survey_budget(self):
         assert sum(noncrossing_survey(3, 4, budget=fuss_catalan(3, 4))[4]) == 55

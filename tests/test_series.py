@@ -20,8 +20,8 @@ from kchord import (
     F_series,
     L_series,
     T_series,
-    d_table_kp2,
-    noncrossing_table,
+    kp2_rows,
+    noncrossing_rows,
     total_diagrams,
 )
 from kchord.counting import component_row, triple_count_closed_k2
@@ -157,10 +157,10 @@ class TestGeneratingFunctions:
     def test_F_matches_tables(self, k):
         n_max = 8
         f = F_series(k, n_max)
-        t = d_table_kp2(k, n_max)
+        rows = tuple(kp2_rows(k, n_max))
         for n in range(n_max + 1):
             for s in range(n + 1):
-                assert f.coefficient(n, s) == t.rows[n][s]
+                assert f.coefficient(n, s) == rows[n][s]
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_C_matches_closed_form(self, k):
@@ -175,10 +175,10 @@ class TestGeneratingFunctions:
     def test_T_matches_recurrence(self, k):
         m_max = 8
         t = T_series(k, m_max, m_max)
-        table = noncrossing_table(k, m_max)
+        rows = tuple(noncrossing_rows(k, m_max))
         for m in range(m_max + 1):
             for s in range(m + 1):
-                assert t.coefficient(m, s) == table.rows[m][s]
+                assert t.coefficient(m, s) == rows[m][s]
 
     def test_T_functional_equation(self):
         # T = 1 + x T^k - x (1 - y) T at the truncation order
@@ -281,8 +281,8 @@ class TestTripleCounts:
     def test_m_marginal_is_noncrossing_row(self):
         for k, n in [(2, 6), (3, 5), (4, 4)]:
             table = triple_table(k, n)
-            nc = noncrossing_table(k, n)
-            assert tuple(table[n]) == nc.rows[n]
+            nc = tuple(noncrossing_rows(k, n))
+            assert tuple(table[n]) == nc[n]
 
     def test_s_marginal_is_short_row(self):
         for k, n in [(2, 6), (3, 5), (4, 4)]:
@@ -291,4 +291,4 @@ class TestTripleCounts:
             for m in range(n + 1):
                 for s in range(m + 1):
                     row[s] += table[m][s]
-            assert tuple(row) == d_table_kp2(k, n).rows[n]
+            assert tuple(row) == tuple(kp2_rows(k, n))[n]
