@@ -16,6 +16,18 @@ single row of that table on its own.
 
 from __future__ import annotations
 
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from functools import lru_cache
 from itertools import accumulate, chain, zip_longest
 from math import comb
@@ -24,8 +36,17 @@ from typing import Iterator
 
 from .counting import SelfCheckError, _check_sizes, inverse_binomial_transform
 
+# The context ``Decimal`` rows are built in: exact integers of any length,
+# and a trap, not a rounding, if any operation would lose a digit.
+EXACT = Context(
+    prec=MAX_PREC,
+    Emin=MIN_EMIN,
+    Emax=MAX_EMAX,
+    traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow],
+)
 
-def kp1_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
+
+def kp1_rows(k: int, n_max: int, *, one=1) -> Iterator[tuple]:
     """Rows 0..n_max of the short-chord table from the two-term ratio
     recurrence, yielded one at a time; only the previous row is kept.
 
@@ -35,27 +56,34 @@ def kp1_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
     at s = 0, so that column is the complement of the rest of the row in
     the diagram total N(k, n) = N(k, n-1) C(kn-1, k-1).  The sizes are
     checked by the call, before the first row is asked for.
+
+    ``one`` is the unit the rows are seeded with, d(0, 0) = one.  With
+    ``Decimal(1)`` every entry is an exact ``Decimal`` integer, whose
+    ``str`` is linear in its digits where an int's is quadratic.  Each
+    row is computed in a copy of ``EXACT``, which traps any rounding, and
+    that context is left before the row is yielded: the rows are exact
+    whatever the caller's context, and the caller's context is not
+    changed.  An int ``one`` never touches the context.
     """
     _check_sizes(k, n_max, "n_max")
-    return _kp1_rows(k, n_max)
+    return _kp1_rows(k, n_max, one)
 
 
-def _kp1_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
-    prev: tuple[int, ...] = (1,)
+def _kp1_rows(k: int, n_max: int, one) -> Iterator[tuple]:
+    prev: tuple = (one,)
     yield prev
-    total = 1
+    total = one
     for n in range(1, n_max + 1):
-        total *= comb(k * n - 1, k - 1)
-        row = [0]
-        for s in range(1, n + 1):
-            left = (k * n - s * (k - 1)) * prev[s - 1]
-            right = s * (k - 1) * (prev[s] if s < len(prev) else 0)
-            num = left + right
-            if num % s:
+        with localcontext(EXACT):
+            total *= comb(k * n - 1, k - 1)
+            # kn - s(k-1) and s(k-1) for s = 1..n, against d(n-1, s-1) and d(n-1, s)
+            left = map(mul, range(k * n - k + 1, n - 1, 1 - k), prev)
+            right = map(mul, range(k - 1, n * (k - 1) + 1, k - 1), chain(prev[1:], (0,)))
+            row, rems = zip(*map(divmod, map(add, left, right), range(1, n + 1)))
+            if any(rems):
+                s = next(s for s, rem in enumerate(rems, 1) if rem)
                 raise SelfCheckError(f"ratio recurrence not integral at n={n}, s={s}")
-            row.append(num // s)
-        row[0] = total - sum(row)
-        prev = tuple(row)
+            prev = (total - sum(row), *row)
         yield prev
 
 
@@ -161,7 +189,7 @@ def _fills(k: int, p: int, lo: int, hi: int) -> list[int]:
     return out
 
 
-def kp2_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
+def kp2_rows(k: int, n_max: int, *, one=1) -> Iterator[tuple]:
     """Rows 0..n_max of the short-chord table from the append recurrence,
     grown from d(0,0)=1 and yielded one at a time.
 
@@ -178,13 +206,18 @@ def kp2_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
     p-th list holds F_p only at the bins some row reads,
     b = n + (k-1)u with p+u <= n < n_max: one run of b per u.  Only these
     lists and the previous row are kept; the sizes are checked by the
-    call, before the first row is asked for.
+    call, before the first row is asked for.  Each row's sum is checked
+    against N(k, n) = N(k, n-1) C(kn-1, k-1), and a mismatch raises
+    ``SelfCheckError``.
+
+    ``one`` and the context are as in ``kp1_rows``: d(0, 0) = one, and a
+    ``Decimal`` table is built row by row in a copy of ``EXACT``.
     """
     _check_sizes(k, n_max, "n_max")
-    return _kp2_rows(k, n_max)
+    return _kp2_rows(k, n_max, one)
 
 
-def _kp2_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
+def _kp2_rows(k: int, n_max: int, one) -> Iterator[tuple]:
     size = k * n_max
     middle = [comb(b + k - 1, k - 1) - 1 for b in range(size)]
     weights = []
@@ -196,15 +229,20 @@ def _kp2_rows(k: int, n_max: int) -> Iterator[tuple[int, ...]]:
             fills[lo:hi] = _fills(k, p, lo, hi)
             done = hi
         weights.append((fills, [comb(s + p, p) for s in range(n_max)]))
-    prev: tuple[int, ...] = (1,)
+    prev: tuple = (one,)
     yield prev
+    total = one
     for n in range(n_max):
-        kn = k * n
-        acc = list(map(mul, prev, middle[kn::1 - k]))
-        for p, (fills, runs) in enumerate(weights[:n], 1):
-            terms = map(mul, map(mul, runs, fills[kn - (k - 1) * p :: 1 - k]), prev[p:])
-            acc[: n + 1 - p] = map(add, acc, terms)
-        prev = tuple(map(add, chain((0,), prev), chain(acc, (0,))))
+        with localcontext(EXACT):
+            kn = k * n
+            acc = list(map(mul, prev, middle[kn::1 - k]))
+            for p, (fills, runs) in enumerate(weights[:n], 1):
+                terms = map(mul, map(mul, runs, fills[kn - (k - 1) * p :: 1 - k]), prev[p:])
+                acc[: n + 1 - p] = map(add, acc, terms)
+            prev = tuple(map(add, chain((0,), prev), chain(acc, (0,))))
+            total *= comb(kn + k - 1, k - 1)
+            if sum(prev) != total:
+                raise SelfCheckError(f"append recurrence row sum is not N(k, n) at k={k}, n={n + 1}")
         yield prev
 
 

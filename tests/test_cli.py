@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import decimal
 import functools
 import hashlib
 import io
@@ -158,8 +159,8 @@ class TestTable:
         _, whole, _ = run_cli(capsys, *argv)
         real = tables.kp1_rows
 
-        def failing(k, n_max):
-            for n, row in enumerate(real(k, n_max)):
+        def failing(k, n_max, **kw):
+            for n, row in enumerate(real(k, n_max, **kw)):
                 if n == 5:
                     raise counting.SelfCheckError("ratio recurrence not integral at n=5, s=1")
                 yield row
@@ -176,6 +177,24 @@ class TestTable:
         assert list(tmp_path.iterdir()) == ([target] if existing else [])
         if existing:
             assert target.read_bytes() == b"an older table\n"
+
+    def test_decimal_fault_exits_4(self, capsys, monkeypatch):
+        """A trapped decimal signal is a program fault, not bad input: with
+        a 5-digit context the kp2 rows trap a rounding and exit 4."""
+        monkeypatch.setattr(tables, "EXACT", decimal.Context(prec=5, traps=[decimal.Inexact, decimal.Rounded]))
+        code, _, err = run_cli(capsys, "table", "--k", "3", "--stat", "short", "--n-max", "12", "--route", "kp2")
+        assert code == 4
+        assert err.startswith("error: internal check failed: ") and err.count("\n") == 1, err
+
+    def test_kp2_row_sum_check_exits_4(self, capsys, monkeypatch):
+        """A fault in the kp2 weights breaks its row sums: exit 4, not a
+        wrong table."""
+        real = tables._fills
+        monkeypatch.setattr(tables, "_fills", lambda *a: [f + 1 for f in real(*a)])
+        code, out, err = run_cli(capsys, "table", "--k", "3", "--stat", "short", "--n-max", "8", "--route", "kp2")
+        assert code == 4
+        assert err == "error: internal check failed: append recurrence row sum is not N(k, n) at k=3, n=2\n"
+        assert out == "n,value,count\n0,0,1\n1,1,1\n"  # rows 0 and 1 hold no fills
 
     def test_bfile_format(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+from decimal import Decimal, localcontext
 from math import comb
 
 import pytest
@@ -139,6 +140,25 @@ class TestShortChordTables:
         nc = tuple(noncrossing_rows(k, n))
         assert nc[n] == noncrossing_row(k, n)
         assert [sum(row) for row in nc] == [fuss_catalan(k, m) for m in range(n + 1)]
+
+    @given(st.integers(2, 8), st.integers(0, 30), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_decimal_rows_are_the_int_rows(self, k, n_max, data):
+        """Seeded with Decimal(1), both kernels yield the int rows as exact
+        Decimal integers, whatever the caller's context, and leave that
+        context as it was, also between two rows."""
+        for build in (kp1_rows, kp2_rows):
+            want = list(build(k, n_max))
+            half = data.draw(st.integers(0, n_max + 1), label="rows before the caller's context is narrowed")
+            rows = build(k, n_max, one=Decimal(1))
+            got = [next(rows) for _ in range(half)]
+            with localcontext() as narrow:
+                narrow.prec = 5
+                narrow.clear_flags()
+                got += rows
+                assert narrow.prec == 5 and not any(narrow.flags.values())
+            assert got == want
+            assert all(type(c) is Decimal and c.as_tuple().exponent == 0 for row in got for c in row)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 9])
     @pytest.mark.parametrize("top", [0, 1])
