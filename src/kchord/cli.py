@@ -28,7 +28,6 @@ from .diagrams import (
     BudgetExceededError,
     canonicalize,
     encode_lattice_path,
-    noncrossing_survey,
     oracle_budget,
     stats as diagram_stats,
 )
@@ -57,41 +56,41 @@ def _fold(hist, n: int, coord) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _oracle_rows(walk, k: int, n_max: int, budget: int | None):
+def _oracle_rows(walk, size, k: int, n_max: int, budget: int | None):
     """Rows 0..n_max of one statistic from the oracle walk of that
-    statistic alone, each walked when it is asked for.  Every row's size
-    is checked against the budget by the call, before the first walk."""
+    statistic alone, each walked when it is asked for.  Every row's
+    ``size(k, n)`` is checked against the budget by the call, before the
+    first walk."""
     for n in range(n_max + 1):
-        oracle_budget(budget, counting.total_diagrams(k, n))
+        oracle_budget(budget, size(k, n))
     hists = (walk(k, n, budget=budget) for n in range(n_max + 1))
     return (tuple(hist.get(j, 0) for j in range(n + 1)) for n, hist in enumerate(hists))
 
 
 # stat -> route -> rows(k, n_max, budget), each route its own derivation:
 # it checks its sizes and budget when called, then yields rows 0..n_max
-# (m_max for nc-short) as it builds them; the nc-short oracle, one walk
-# for every row, returns them all.  Builders are looked up when a route
-# runs, so a replaced module function is the one called.  kp1 and kp2
-# build exact Decimal rows, which print in time linear in their digits;
-# the other routes print small numbers or build rows in ways that do not
-# gain from Decimal, and stay on int.
+# (m_max for nc-short) as it builds them.  Builders are looked up when a
+# route runs, so a replaced module function is the one called.  kp1 and
+# kp2 build exact Decimal rows, which print in time linear in their
+# digits; the other routes print small numbers or build rows in ways that
+# do not gain from Decimal, and stay on int.
 ROUTES = {
     "short": {
         "closed": lambda k, n_max, *_: (tuple(counting.short_chord_row(k, n)) for n in range(n_max + 1)),
         "kp1": lambda k, n_max, *_: tables.kp1_rows(k, n_max, one=decimal.Decimal(1)),
         "kp2": lambda k, n_max, *_: tables.kp2_rows(k, n_max, one=decimal.Decimal(1)),
         "series": lambda k, n_max, *_: _coefficient_rows(series.F_series(k, n_max), n_max),
-        "oracle": lambda *args: _oracle_rows(diagrams.short_survey, *args),
+        "oracle": lambda *args: _oracle_rows(diagrams.short_survey, counting.total_diagrams, *args),
     },
     "components": {
         "closed": lambda k, n_max, *_: tables.component_rows(k, n_max),
         "series": lambda k, n_max, *_: _coefficient_rows(series.C_series(k, n_max), n_max),
-        "oracle": lambda *args: _oracle_rows(diagrams.component_survey, *args),
+        "oracle": lambda *args: _oracle_rows(diagrams.component_survey, counting.total_diagrams, *args),
     },
     "nc-short": {
         "recurrence": lambda k, m_max, *_: tables.noncrossing_rows(k, m_max),
         "series": lambda k, m_max, *_: _coefficient_rows(series.T_series(k, m_max, m_max), m_max),
-        "oracle": lambda k, m_max, budget: noncrossing_survey(k, m_max, budget),
+        "oracle": lambda *args: _oracle_rows(diagrams.noncrossing_survey, tables.fuss_catalan, *args),
     },
 }
 STATS = tuple(ROUTES)

@@ -5,10 +5,10 @@ A diagram places ``k*n`` linearly ordered vertices into ``n`` blocks
 lists, for each position, the label of its block, with labels numbered
 by first occurrence.  This module provides canonicalization, per-diagram
 statistics computed on block bitmasks, the lattice-path encoding of
-non-crossing diagrams, the brute-force non-crossing survey on numpy level
-arrays, and the one partition walk behind the brute-force statistics
-survey (the test oracle), its walks of short chords or components alone,
-and the memory game's exhaustive deals.
+non-crossing diagrams, and the one partition walk behind the brute-force
+statistics survey (the test oracle), its walks of short chords or
+components alone, its walk of non-crossing diagrams by short chords, and
+the memory game's exhaustive deals.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import operator
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 from .counting import _check_sizes, total_diagrams
+from .tables import fuss_catalan
 
 DEFAULT_ORACLE_BUDGET = 10**7
 
@@ -203,120 +204,37 @@ def encode_lattice_path(diagram: Diagram) -> LatticePath:
     return LatticePath("".join("D" if lasts >> p & 1 else "U" for p in range(len(diagram.word))))
 
 
-NONCROSSING_SLICE_ROWS = 2048
+def _blocks(free: int, k: int) -> list[int]:
+    """The lowest vertex of the mask ``free`` with each choice of k-1
+    partners among its other vertices."""
+    if free.bit_count() == k:  # the last block
+        return [free]
+    low, *bits = [1 << v for v in range(free.bit_length()) if free >> v & 1]
+    return [low + partners for partners in map(sum, combinations(bits, k - 1))]
 
 
-def _noncrossing_levels(k: int, m_max: int) -> Iterator:
-    """Yield every non-crossing diagram of at most ``m_max`` blocks, level
-    by level, as slices of at most NONCROSSING_SLICE_ROWS rows of an
-    integer array: one row per diagram and one column per block bitmask,
-    blocks in order of their lowest vertex.
+def _noncrossing_blocks(free: int, k: int) -> list[int]:
+    """The blocks of ``_blocks(free, k)`` that leave a non-crossing diagram
+    non-crossing: the lowest free vertex v with partners p_1 < ... <
+    p_{k-1}, p_i = p_{i-1} + 1 + k*g_i (p_0 = v), the g_i drawn by stars
+    and bars, and p_{k-1} inside the run of free vertices from v.
 
-    Vertex 0's block sits at p_0 = 0 < p_1 < ... < p_{k-1}.  The gap
-    after p_i holds k*g_i vertices, g_0 + ... + g_{k-1} = m - 1 (a
-    composition drawn by stars and bars), filled by a row of level g_i
-    shifted into place; each composition adds the cartesian product of
-    those levels, its rows found by index arithmetic.  The levels below
-    ``m_max`` are kept whole for the gaps.  Level ``m_max`` is built one
-    slice at a time into one buffer, so each of its slices is valid only
-    until the next is yielded.  Masks are int64 while k*m_max < 64 and
-    Python ints (dtype object) past that, so every mask is exact.
+    Blocks are placed in order of their lowest vertex, so a block crosses
+    an earlier one iff its span meets a placed vertex (as for the
+    survey's step, below): its span must lie in the run from v.  A gap
+    inside a non-crossing block is filled by whole later blocks, so it
+    holds a multiple of k vertices.  So every non-crossing diagram is
+    walked once and no crossing one is.  The run from v is itself a
+    multiple of k vertices long (it fills the rest of a gap of an earlier
+    block, or of the line), so every block offered leaves a multiple of k
+    free vertices after p_{k-1} in the run, and no branch dead-ends.
     """
-    import numpy as np
-
-    rows = NONCROSSING_SLICE_ROWS
-    dtype = np.int64 if k * m_max < 64 else object
-    levels = [np.zeros((1, 0), dtype)]
-    yield levels[0]
-    for m in range(1, m_max + 1):
-        slots = m + k - 2  # m - 1 stars and k - 1 bars
-        pieces = []  # (block 0, [(gap level, shift)], rows of the product)
-        for bars in combinations(range(slots), k - 1):
-            block, p, parts, size = 0, 0, [], 1
-            for lo, hi in zip((-1,) + bars, bars + (slots,)):
-                g = hi - lo - 1
-                block |= 1 << p
-                if g:
-                    parts.append((levels[g], p + 1))
-                    size *= len(levels[g])
-                p += k * g + 1
-            pieces.append((block, parts, size))
-        total = sum(size for *_, size in pieces)
-        keep = m < m_max
-        out = np.empty((total if keep else min(rows, total), m), dtype)
-        start = at = 0  # level rows: the open slice starts at start, at are written
-        for block, parts, size in pieces:
-            first = 0
-            while first < size:
-                base = 0 if keep else start
-                count = min(size - first, start + rows - at)
-                _fill_product(out[at - base : at - base + count], block, parts, first)
-                first += count
-                at += count
-                if at == min(start + rows, total):
-                    yield out[start - base : at - base]
-                    start = at
-        if keep:
-            levels.append(out)
-
-
-def _fill_product(out, block: int, parts: list, first: int) -> None:
-    """Write rows ``first``.. of one composition's product into ``out``:
-    block 0 in column 0, then each gap's level row shifted into place."""
-    import numpy as np
-
-    out[:, 0] = block
-    if not parts:
-        return
-    picks = np.unravel_index(np.arange(first, first + len(out)), [len(level) for level, _ in parts])
-    col = 1
-    for (level, shift), pick in zip(parts, picks):
-        width = level.shape[1]
-        np.left_shift(level[pick], shift, out=out[:, col : col + width])
-        col += width
-
-
-def _short_counts(masks) -> list[int]:
-    """Rows of one slice (blocks in order of lowest vertex) that are
-    non-crossing, counted by short blocks.
-
-    A row is non-crossing iff no block's span meets the union of the
-    earlier blocks, and its short blocks are those equal to their span.
-    Spans are exact at any width: int64 masks are smeared right, with no
-    float, and Python-int masks go through ``_span``.
-    """
-    import numpy as np
-
-    if masks.dtype == object:
-        spans = np.frompyfunc(_span, 1, 1)(masks)
-    else:
-        top = masks.copy()
-        for shift in (1, 2, 4, 8, 16, 32):  # every bit below the highest one
-            top |= top >> shift
-        spans = top & -(masks & -masks)
-    seen = np.bitwise_or.accumulate(masks, axis=1)
-    crossing = ((spans[:, 1:] & seen[:, :-1]) != 0).any(axis=1)
-    shorts = (masks == spans).sum(axis=1)
-    return np.bincount(shorts[~crossing], minlength=masks.shape[1] + 1).tolist()
-
-
-def noncrossing_survey(k: int, m_max: int, budget: int | None = None) -> list[tuple[int, ...]]:
-    """Brute-force non-crossing diagrams by short chords, rows m = 0..m_max.
-
-    One walk up to ``m_max``, checked a slice at a time by
-    ``_short_counts``; a crossing row is dropped, so a fault of the walk
-    shows as a row summing short of Fuss-Catalan.
-    """
-    from .tables import fuss_catalan
-
-    _check_sizes(k, m_max, "m_max")
-    oracle_budget(budget, fuss_catalan(k, m_max))
-    rows = [[0] * (m + 1) for m in range(m_max + 1)]
-    for masks in _noncrossing_levels(k, m_max):
-        row = rows[masks.shape[1]]
-        for s, count in enumerate(_short_counts(masks)):
-            row[s] += count
-    return [tuple(row) for row in rows]
+    low = free & -free
+    room = ((free ^ (free + low)).bit_count() - 1 - k) // k  # g_1 + ... + g_{k-1} <= room
+    return [
+        low + sum(low << i + k * (bar - i + 1) for i, bar in enumerate(bars, 1))
+        for bars in combinations(range(room + k - 1), k - 1)
+    ]
 
 
 def _partitions(
@@ -327,34 +245,37 @@ def _partitions(
     extend: Callable[[int, int, Hashable], Hashable],
     empty: Hashable,
     leaf: Callable[[Any, list, dict, int], None],
+    blocks: Callable[[int, int], list[int]] = _blocks,
 ) -> dict[Hashable, int]:
     """The histogram that ``leaf`` fills over the partitions of
     range(vertices) into k-sets.
 
     The blocks of a partition are bitmasks in order of their lowest
     vertex; each block takes the lowest free vertex and k-1 partners
-    from the rest (Knuth, TAOCP 7.2.1.5).  The walk goes one layer at a
-    time over every block but the last t = min(n, 3).  Layer d maps
-    each free mask d blocks down to the states of its prefixes, each
-    with its number of prefixes: ``step(rest, state, m)`` is the state
-    after block ``m`` is placed, leaving the free mask ``rest``, and
-    equal states of one mask are summed.  The last t blocks are read as
-    facts that need no state: ``empty`` is the fact of no blocks, and
-    ``extend(free, a, fact)`` is the fact of the blocks of ``free``
-    whose first block is ``a``, given ``fact`` of those of ``free - a``.
-    The tail of a free mask lists each distinct fact of its partitions
-    with its multiplicity, and ``leaf(state, tail, hist, times)`` adds
-    to ``hist`` the ``count * times`` partitions of each ``(fact,
-    count)`` of the tail below ``times`` prefixes with that state.  So
-    each partition is counted once, as one pair of a prefix state and a
-    tail fact.
+    from the rest (Knuth, TAOCP 7.2.1.5).  ``blocks(free, k)`` lists the
+    blocks a free mask offers: every one by default (``_blocks``), or
+    only those of the non-crossing partitions (``_noncrossing_blocks``).
+    The walk goes one layer at a time over every block but the last
+    t = min(n, 3).  Layer d maps each free mask d blocks down to the
+    states of its prefixes, each with its number of prefixes:
+    ``step(rest, state, m)`` is the state after block ``m`` is placed,
+    leaving the free mask ``rest``, and equal states of one mask are
+    summed.  The last t blocks are read as facts that need no state:
+    ``empty`` is the fact of no blocks, and ``extend(free, a, fact)`` is
+    the fact of the blocks of ``free`` whose first block is ``a``, given
+    ``fact`` of those of ``free - a``.  The tail of a free mask lists
+    each distinct fact of its partitions with its multiplicity, and
+    ``leaf(state, tail, hist, times)`` adds to ``hist`` the ``count *
+    times`` partitions of each ``(fact, count)`` of the tail below
+    ``times`` prefixes with that state.  So each partition is counted
+    once, as one pair of a prefix state and a tail fact.
     """
     n = vertices // k
     layer = {(1 << vertices) - 1: {root: 1}}
     for _ in range(n - 3):
         below: dict[int, dict] = {}
         for free, states in layer.items():
-            for m in _blocks(free, k):
+            for m in blocks(free, k):
                 rest = free - m
                 merged = below.get(rest)
                 if merged is None:
@@ -368,35 +289,27 @@ def _partitions(
     tails: dict[int, list] = {0: [(empty, 1)]}
     keep = min(2 * k, vertices - 2 * k)  # the masks below the leaf's that can have several parents
     for free, states in layer.items():
-        tail = tails.get(free) or _tail(free, k, extend, tails, keep)
+        tail = tails.get(free) or _tail(free, k, extend, tails, keep, blocks)
         for state, count in states.items():
             leaf(state, tail, hist, count)
     return hist
 
 
-def _tail(free: int, k: int, extend: Callable, tails: dict[int, list], keep: int) -> list:
-    """The tail of the mask ``free``, built from the tails one block
-    down, and kept in ``tails`` if ``free`` has at most ``keep`` vertices."""
+def _tail(free: int, k: int, extend: Callable, tails: dict[int, list], keep: int, blocks: Callable) -> list:
+    """The tail of the mask ``free``, built from the tails one block down
+    of the blocks it offers, and kept in ``tails`` if ``free`` has at
+    most ``keep`` vertices."""
     merged: dict[Hashable, int] = {}
     get = merged.get
-    for a in _blocks(free, k):
+    for a in blocks(free, k):
         rest = free - a
-        for fact, count in tails.get(rest) or _tail(rest, k, extend, tails, keep):
+        for fact, count in tails.get(rest) or _tail(rest, k, extend, tails, keep, blocks):
             fact = extend(free, a, fact)
             merged[fact] = get(fact, 0) + count
     got = list(merged.items())
     if free.bit_count() <= keep:
         tails[free] = got
     return got
-
-
-def _blocks(free: int, k: int) -> list[int]:
-    """The lowest vertex of the mask ``free`` with each choice of k-1
-    partners among its other vertices."""
-    if free.bit_count() == k:  # the last block
-        return [free]
-    low, *bits = [1 << v for v in range(free.bit_length()) if free >> v & 1]
-    return [low + partners for partners in map(sum, combinations(bits, k - 1))]
 
 
 # The survey's walk state after a prefix of blocks keeps only what the
@@ -565,6 +478,15 @@ def _component_leaf(state: tuple[int, int], tail: list, hist: dict, times: int) 
         joins = (edge << 1 & covered | covered << 1 & edge).bit_count()
         key = runs + (covered & ~(covered << 1)).bit_count() - joins
         hist[key] = get(key, 0) + count * times
+
+
+def noncrossing_survey(k: int, m: int, budget: int | None = None) -> dict[int, int]:
+    """Brute-force histogram of the non-crossing diagrams of m blocks by
+    short chords: the walk of :func:`short_survey`, offered only the
+    blocks of ``_noncrossing_blocks``."""
+    _check_sizes(k, m, "m")
+    oracle_budget(budget, fuss_catalan(k, m))
+    return _partitions(k * m, k, _short_step, 0, _short_extend, 0, _short_leaf, _noncrossing_blocks)
 
 
 def short_survey(k: int, n: int, budget: int | None = None) -> dict[int, int]:

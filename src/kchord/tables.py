@@ -21,6 +21,7 @@ from decimal import (
     MAX_PREC,
     MIN_EMIN,
     Context,
+    DecimalException,
     DivisionByZero,
     Inexact,
     InvalidOperation,
@@ -44,6 +45,13 @@ EXACT = Context(
     Emax=MAX_EMAX,
     traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow],
 )
+
+
+def _trapped(route: str, n: int, context: Context) -> SelfCheckError:
+    """The fault of row n of a route whose arithmetic in ``context``, a
+    copy of ``EXACT``, trapped: the route, the row and the signals."""
+    signals = ", ".join(s.__name__ for s, raised in context.flags.items() if raised and context.traps[s])
+    return SelfCheckError(f"{route} row n={n} would round: {signals}")
 
 
 def kp1_rows(k: int, n_max: int, *, one=1) -> Iterator[tuple]:
@@ -74,16 +82,19 @@ def _kp1_rows(k: int, n_max: int, one) -> Iterator[tuple]:
     yield prev
     total = one
     for n in range(1, n_max + 1):
-        with localcontext(EXACT):
-            total *= comb(k * n - 1, k - 1)
-            # kn - s(k-1) and s(k-1) for s = 1..n, against d(n-1, s-1) and d(n-1, s)
-            left = map(mul, range(k * n - k + 1, n - 1, 1 - k), prev)
-            right = map(mul, range(k - 1, n * (k - 1) + 1, k - 1), chain(prev[1:], (0,)))
-            row, rems = zip(*map(divmod, map(add, left, right), range(1, n + 1)))
-            if any(rems):
-                s = next(s for s, rem in enumerate(rems, 1) if rem)
-                raise SelfCheckError(f"ratio recurrence not integral at n={n}, s={s}")
-            prev = (total - sum(row), *row)
+        try:
+            with localcontext(EXACT) as context:
+                total *= comb(k * n - 1, k - 1)
+                # kn - s(k-1) and s(k-1) for s = 1..n, against d(n-1, s-1) and d(n-1, s)
+                left = map(mul, range(k * n - k + 1, n - 1, 1 - k), prev)
+                right = map(mul, range(k - 1, n * (k - 1) + 1, k - 1), chain(prev[1:], (0,)))
+                row, rems = zip(*map(divmod, map(add, left, right), range(1, n + 1)))
+                if any(rems):
+                    s = next(s for s, rem in enumerate(rems, 1) if rem)
+                    raise SelfCheckError(f"ratio recurrence not integral at n={n}, s={s}")
+                prev = (total - sum(row), *row)
+        except DecimalException as exc:
+            raise _trapped("kp1", n, context) from exc
         yield prev
 
 
@@ -233,16 +244,19 @@ def _kp2_rows(k: int, n_max: int, one) -> Iterator[tuple]:
     yield prev
     total = one
     for n in range(n_max):
-        with localcontext(EXACT):
-            kn = k * n
-            acc = list(map(mul, prev, middle[kn::1 - k]))
-            for p, (fills, runs) in enumerate(weights[:n], 1):
-                terms = map(mul, map(mul, runs, fills[kn - (k - 1) * p :: 1 - k]), prev[p:])
-                acc[: n + 1 - p] = map(add, acc, terms)
-            prev = tuple(map(add, chain((0,), prev), chain(acc, (0,))))
-            total *= comb(kn + k - 1, k - 1)
-            if sum(prev) != total:
-                raise SelfCheckError(f"append recurrence row sum is not N(k, n) at k={k}, n={n + 1}")
+        try:
+            with localcontext(EXACT) as context:
+                kn = k * n
+                acc = list(map(mul, prev, middle[kn::1 - k]))
+                for p, (fills, runs) in enumerate(weights[:n], 1):
+                    terms = map(mul, map(mul, runs, fills[kn - (k - 1) * p :: 1 - k]), prev[p:])
+                    acc[: n + 1 - p] = map(add, acc, terms)
+                prev = tuple(map(add, chain((0,), prev), chain(acc, (0,))))
+                total *= comb(kn + k - 1, k - 1)
+                if sum(prev) != total:
+                    raise SelfCheckError(f"append recurrence row sum is not N(k, n) at k={k}, n={n + 1}")
+        except DecimalException as exc:
+            raise _trapped("kp2", n + 1, context) from exc
         yield prev
 
 

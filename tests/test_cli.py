@@ -180,11 +180,15 @@ class TestTable:
 
     def test_decimal_fault_exits_4(self, capsys, monkeypatch):
         """A trapped decimal signal is a program fault, not bad input: with
-        a 5-digit context the kp2 rows trap a rounding and exit 4."""
+        a 5-digit context the kp1 and kp2 rows trap a rounding and exit 4,
+        naming the route, the row and the signals."""
         monkeypatch.setattr(tables, "EXACT", decimal.Context(prec=5, traps=[decimal.Inexact, decimal.Rounded]))
-        code, _, err = run_cli(capsys, "table", "--k", "3", "--stat", "short", "--n-max", "12", "--route", "kp2")
-        assert code == 4
-        assert err.startswith("error: internal check failed: ") and err.count("\n") == 1, err
+        for route, line in [
+            ("kp1", "kp1 row n=5 would round: Rounded"),
+            ("kp2", "kp2 row n=5 would round: Inexact, Rounded"),
+        ]:
+            argv = ["table", "--k", "3", "--stat", "short", "--n-max", "12", "--route", route]
+            assert run_cli(capsys, *argv)[::2] == (4, f"error: internal check failed: {line}\n")
 
     def test_kp2_row_sum_check_exits_4(self, capsys, monkeypatch):
         """A fault in the kp2 weights breaks its row sums: exit 4, not a
@@ -231,7 +235,10 @@ class TestTable:
     def test_routes_are_generators(self, stat, route):
         assert isinstance(cli.ROUTES[stat][route](3, 4, None), types.GeneratorType)
 
-    @pytest.mark.parametrize("stat, walk", [("short", "short_survey"), ("components", "component_survey")])
+    @pytest.mark.parametrize(
+        "stat, walk",
+        [("short", "short_survey"), ("components", "component_survey"), ("nc-short", "noncrossing_survey")],
+    )
     def test_oracle_walks_a_row_when_asked(self, monkeypatch, stat, walk):
         real = getattr(diagrams, walk)
         walked = []
@@ -266,15 +273,20 @@ class TestTable:
             3, "", f"error: enumeration size {total_diagrams(3, 6)} exceeds budget {budget}\n"
         )
 
-    @pytest.mark.parametrize("stat", ["short", "components"])
+    @pytest.mark.parametrize("stat", ["short", "components", "nc-short"])
     def test_oracle_refuses_before_any_walk(self, capsys, monkeypatch, stat):
+        """The refusal names the smallest row over the budget: N(2, 11), or
+        FC(3, 12) for nc-short under the default budget."""
         def walk(*args, **kwargs):
             raise AssertionError("a row was walked")
 
-        monkeypatch.setattr(diagrams, "short_survey", walk)
-        monkeypatch.setattr(diagrams, "component_survey", walk)
-        argv = ["table", "--k", "2", "--stat", stat, "--n-max", "11", "--route", "oracle", "--budget", "1000000000"]
-        assert run_cli(capsys, *argv) == (3, "", "error: enumeration size 13749310575 exceeds budget 1000000000\n")
+        for name in ("short_survey", "component_survey", "noncrossing_survey"):
+            monkeypatch.setattr(diagrams, name, walk)
+        if stat == "nc-short":
+            argv, line = "--k 3 --n-max 13", "enumeration size 50067108 exceeds budget 10000000"
+        else:
+            argv, line = "--k 2 --n-max 11 --budget 1000000000", "enumeration size 13749310575 exceeds budget 1000000000"
+        assert run_cli(capsys, "table", "--stat", stat, "--route", "oracle", *argv.split()) == (3, "", f"error: {line}\n")
 
     @pytest.mark.parametrize("k,m_max,fmt", [(3, 8, "json"), (2, 10, "csv"), (4, 6, "bfile")])
     def test_nc_oracle_matches_recurrence(self, capsys, k, m_max, fmt):

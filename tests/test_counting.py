@@ -309,7 +309,7 @@ SIZE_CHECKED = {
     "T_series": (lambda k, _: T_series(k, 3, 3), None),
     "Diagram": (lambda k, n: Diagram(k, n, ()), "block count"),
     "survey": (survey, "n"),
-    "noncrossing_survey": (noncrossing_survey, "m_max"),
+    "noncrossing_survey": (noncrossing_survey, "m"),
     "mean_polyominoes": (lambda k, _: mean_polyominoes(path_board(6), k), None),
     "exhaustive_distribution": (lambda k, _: exhaustive_distribution(path_board(6), k), None),
     "sample_placements": (lambda k, _: sample_placements(path_board(6), k, 10, 0), None),

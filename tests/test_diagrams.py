@@ -6,7 +6,6 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,11 +33,12 @@ from kchord import (
     survey,
     total_diagrams,
 )
-from kchord import counting, diagrams
+from kchord import cli, counting, diagrams
 from kchord.diagrams import (
     _SURVEY_EMPTY,
     _SURVEY_ROOT,
     _crosses,
+    _noncrossing_blocks,
     _partitions,
     _span,
     _survey_extend,
@@ -565,23 +565,49 @@ def naive_noncrossing_row(k: int, m: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def random_noncrossing_blocks(k: int, m: int, rng, first: int = 0) -> list[tuple[int, ...]]:
-    """The blocks of a random non-crossing diagram on vertices first..,
-    built as the walk builds them: block 0, then a smaller diagram in
-    each gap of a random composition of m - 1."""
-    if m == 0:
-        return []
-    bars = sorted(rng.sample(range(m + k - 2), k - 1))
-    block, rest, p = [], [], first
-    for lo, hi in zip([-1] + bars, bars + [m + k - 2]):
-        block.append(p)
-        rest += random_noncrossing_blocks(k, hi - lo - 1, rng, p + 1)
-        p += k * (hi - lo - 1) + 1
-    return [tuple(block)] + rest
-
-
 def largest_m(k: int, m_cap: int, size: int) -> int:
     return max(m for m in range(m_cap + 1) if fuss_catalan(k, m) <= size)
+
+
+def noncrossing_row(k: int, m: int) -> tuple[int, ...]:
+    """Row m of the non-crossing oracle, by short chords s = 0..m."""
+    hist = noncrossing_survey(k, m)
+    return tuple(hist.get(s, 0) for s in range(m + 1))
+
+
+def literal_noncrossing_block(free: int, block: int, k: int) -> bool:
+    """Whether ``block`` keeps a non-crossing diagram non-crossing, from
+    the definition: its span lies among the free vertices, and each gap
+    between two of its consecutive vertices holds a multiple of k."""
+    vertices = [v for v in range(block.bit_length()) if block >> v & 1]
+    span = sum(1 << v for v in range(vertices[0], vertices[-1] + 1))
+    return not span & ~free and all((b - a - 1) % k == 0 for a, b in zip(vertices, vertices[1:]))
+
+
+@st.composite
+def free_masks(draw):
+    """k = 2..5 and a nonzero mask of up to 136 bits made of a few runs,
+    at most 33 vertices, so that ``_blocks`` stays small."""
+    k = draw(st.integers(2, 5))
+    length = st.integers(1, 11 if k >= 4 else 3 * k + 2)
+    free = 0
+    for start, run in draw(st.lists(st.tuples(st.integers(0, 135), length), min_size=1, max_size=3)):
+        free |= (1 << run) - 1 << start
+    return k, free & (1 << 136) - 1
+
+
+def recorded_walk(k: int, m: int) -> dict[tuple[int, ...], int]:
+    """Every diagram the non-crossing walk lists, as its blocks in order
+    of their lowest vertex, with the number of times it is listed."""
+
+    def leaf(masks, tail, hist, times):
+        for last, count in tail:
+            hist[masks + last] = hist.get(masks + last, 0) + count * times
+
+    def extend(free, a, last):
+        return (a,) + last
+
+    return _partitions(k * m, k, lambda rest, masks, b: masks + (b,), (), extend, (), leaf, _noncrossing_blocks)
 
 
 class TestNoncrossing:
@@ -603,9 +629,9 @@ class TestNoncrossing:
 
     @pytest.mark.parametrize("k,m_max", [(2, 5), (3, 3), (4, 2)])
     def test_survey_rows_match_naive(self, k, m_max):
-        for m, row in enumerate(noncrossing_survey(k, m_max)):
+        for m in range(m_max + 1):
             shorts = [naive_stats(w)[0] for w in naive_enumerate(k, m) if naive_stats(w)[2] == m]
-            assert row == tuple(Counter(shorts)[s] for s in range(m + 1))
+            assert noncrossing_row(k, m) == tuple(Counter(shorts)[s] for s in range(m + 1))
 
     @pytest.mark.parametrize(
         "k,crossing",
@@ -616,111 +642,83 @@ class TestNoncrossing:
             (3, (0b000100011, 0b010010100, 0b101001000)),  # 0 0 1 2 1 0 2 1 2
         ],
     )
-    def test_survey_never_counts_a_crossing_diagram(self, monkeypatch, k, crossing):
+    def test_survey_never_counts_a_crossing_diagram(self, k, crossing):
+        """Replayed in order of their lowest vertex, some block of a
+        crossing diagram is not offered at the free mask it meets."""
         m = len(crossing)
-        walk = diagrams._noncrossing_levels
         assert any(_crosses(a, b) for a, b in combinations(crossing, 2))
         lowest = [b & -b for b in crossing]
         assert lowest == sorted(lowest) and sum(crossing) == (1 << k * m) - 1
-        injected = []
+        refused, free = [], (1 << k * m) - 1
+        for block in crossing:
+            if block not in _noncrossing_blocks(free, k):
+                refused.append(block)
+            free -= block
+        assert refused
+        assert sum(noncrossing_survey(k, m).values()) == fuss_catalan(k, m)
 
-        def walk_and_crossing(k, m_max):
-            for masks in walk(k, m_max):
-                if masks.shape[1] == m and not injected:
-                    injected.append(len(masks) // 2)
-                    masks = np.insert(masks, injected[0], np.array(crossing, masks.dtype), axis=0)
-                yield masks
-
-        want = noncrossing_survey(k, m)
-        monkeypatch.setattr(diagrams, "_noncrossing_levels", walk_and_crossing)
-        got = noncrossing_survey(k, m)
-        assert injected  # the crossing row sat inside a slice of level m
-        assert got == want
-        assert sum(got[m]) == fuss_catalan(k, m)
-
-    @pytest.mark.parametrize(
-        "k,m_max,rows", [(2, 6, 5), (2, 5, 4096), (3, 4, 7), (3, 5, 64), (4, 3, 1), (5, 3, 10), (6, 2, 2)]
-    )
-    def test_level_slices_match_tuple_walk(self, monkeypatch, k, m_max, rows):
-        """The array walk lists the rows of the tuple walk, in its order, in
-        slices of ``rows`` that are full but for the last of each level."""
-        monkeypatch.setattr(diagrams, "NONCROSSING_SLICE_ROWS", rows)
-        got, sizes = [], []
-        for masks in diagrams._noncrossing_levels(k, m_max):
-            got.extend(tuple(map(int, row)) for row in masks)
-            sizes.append((masks.shape[1], len(masks)))
-        assert got == list(noncrossing_masks(k, m_max))
+    @pytest.mark.parametrize("k,m_max", [(2, 6), (2, 5), (3, 4), (3, 5), (4, 3), (5, 3), (6, 2)])
+    def test_walk_lists_each_noncrossing_diagram_once(self, k, m_max):
+        """The partition walk offered only non-crossing blocks lists the
+        diagrams of the tuple walk, each once."""
+        listed = Counter()
         for m in range(m_max + 1):
-            level = [size for width, size in sizes if width == m]
-            assert level[:-1] == [rows] * (len(level) - 1) and 0 < level[-1] <= rows
-            assert sum(level) == fuss_catalan(k, m)
+            listed.update(recorded_walk(k, m))
+        assert set(listed.values()) == {1}
+        assert sorted(listed) == sorted(noncrossing_masks(k, m_max))
 
     @pytest.mark.parametrize(
         "k,m_max",
         [(26, 2), (53, 1), (27, 2), (31, 2), (21, 3), (32, 2), (22, 3), (54, 1), (63, 1), (64, 1), (2, 0), (2, 1)],
     )
     def test_exact_at_word_size(self, k, m_max):
-        """Masks of 52 to 66 bits stay exact on either side of the int64
-        width; a short block of 54 or more vertices is where a float bit
-        length rounds up."""
-        assert noncrossing_survey(k, m_max) == list(noncrossing_rows(k, m_max))
-        dtype = next(diagrams._noncrossing_levels(k, m_max)).dtype
-        assert (dtype == object) == (k * m_max >= 64)
+        """Masks of 52 to 66 bits; a short block of 54 or more vertices is
+        where a float bit length rounds up."""
+        assert [noncrossing_row(k, m) for m in range(m_max + 1)] == list(noncrossing_rows(k, m_max))
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(2, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 136 // k))),
-        st.lists(st.tuples(st.integers(0, 2**32), st.booleans()), min_size=1, max_size=6),
-    )
-    def test_slice_check_matches_literal_definition(self, k_m, seeds):
-        """Random non-crossing rows, some with two vertices swapped between
-        blocks, up to 136 bits: the slice check against naive_crossing."""
-        k, m = k_m
-        rows = []
-        for seed, swap in seeds:
-            rng = random.Random(seed)
-            row = random_noncrossing_blocks(k, m, rng)
-            if swap and m >= 2:
-                i, j = rng.sample(range(m), 2)
-                a, b = rng.randrange(k), rng.randrange(k)
-                row[i], row[j] = list(row[i]), list(row[j])
-                row[i][a], row[j][b] = row[j][b], row[i][a]
-            rows.append(sorted(tuple(sorted(block)) for block in row))
-        self.assert_check_is_literal(k, m, rows)
+    @given(free_masks())
+    def test_slice_check_matches_literal_definition(self, k_free):
+        """The blocks offered at a free mask of up to 136 bits are those of
+        every block that the literal definition keeps, in the same order."""
+        k, free = k_free
+        want = [block for block in diagrams._blocks(free, k) if literal_noncrossing_block(free, block, k)]
+        assert _noncrossing_blocks(free, k) == want
 
     @pytest.mark.parametrize("m", [12, 31, 32, 33])
     def test_slice_check_finds_a_wide_crossing(self, m):
-        """Block {1, 2m-1} crosses {0, 2} only through its far end."""
-        shorts = [(v, v + 1) for v in range(3, 2 * m - 1, 2)]
-        self.assert_check_is_literal(2, m, [[(0, 2), (1, 2 * m - 1), *shorts], [(0, 2 * m - 1), (1, 2), *shorts]])
-
-    @staticmethod
-    def assert_check_is_literal(k, m, rows):
-        want = [0] * (m + 1)
-        for blocks in rows:
-            if not any(naive_crossing(a, b) for a, b in combinations(blocks, 2)):
-                want[sum(b[-1] - b[0] == k - 1 for b in blocks)] += 1
-        masks = [[sum(1 << v for v in block) for block in blocks] for blocks in rows]
-        for dtype in (np.int64, object) if k * m < 64 else (object,):
-            array = np.array(masks, dtype).reshape(len(rows), m)
-            assert diagrams._short_counts(array) == want, dtype
+        """With {0, 2} placed, block {1, 2m-1} crosses it only through its
+        far end, and is not offered."""
+        free = (1 << 2 * m) - 1 - 0b101
+        wide = 1 << 1 | 1 << 2 * m - 1
+        assert wide in diagrams._blocks(free, 2)
+        assert not literal_noncrossing_block(free, wide, 2)
+        assert wide not in _noncrossing_blocks(free, 2)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 12 // k))))
     def test_survey_matches_filtered_enumeration(self, k_m):
         k, m_max = k_m
-        for m, row in enumerate(noncrossing_survey(k, m_max)):
-            assert row == naive_noncrossing_row(k, m), (k, m)
+        for m in range(m_max + 1):
+            assert noncrossing_row(k, m) == naive_noncrossing_row(k, m), (k, m)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 8).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, largest_m(k, 8, 50_000)))))
     def test_survey_matches_recurrence(self, k_m):
         """k <= 8 and m <= 8, up to 50,000 diagrams in the top row."""
         k, m_max = k_m
-        assert noncrossing_survey(k, m_max) == list(noncrossing_rows(k, m_max))
+        assert [noncrossing_row(k, m) for m in range(m_max + 1)] == list(noncrossing_rows(k, m_max))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 12 // k))))
+    def test_survey_is_the_joint_noncrossing_coordinate(self, k_m):
+        """The non-crossing walk's row is the joint survey's diagrams with
+        every block non-crossing, by short chords."""
+        k, m = k_m
+        assert noncrossing_row(k, m) == cli._fold(survey(k, m), m, m)
 
     def test_survey_budget(self):
-        assert sum(noncrossing_survey(3, 4, budget=fuss_catalan(3, 4))[4]) == 55
+        assert sum(noncrossing_survey(3, 4, budget=fuss_catalan(3, 4)).values()) == 55
         with pytest.raises(BudgetExceededError):
             noncrossing_survey(3, 4, budget=fuss_catalan(3, 4) - 1)
         with pytest.raises(ValueError):
